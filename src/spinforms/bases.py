@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import i_power, minus_i_power, parity_signs
-from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances
+from .bits import i_power, minus_i_power, parity_signs, popcount
+from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _frozen_complex
 from .flip import FormKind, flip_state
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
@@ -24,28 +24,28 @@ PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered set of 2^n states intended as a basis; ``ordering`` documents the convention."""
+    """Ordered basis of n-qubit states held as one 2^n x 2^n matrix: column j is vector j.
+
+    ``ordering`` documents the convention.
+    """
 
     n: int
-    vectors: tuple
+    mat: np.ndarray
     ordering: str = ""
 
     def __post_init__(self):
-        vecs = tuple(self.vectors)
-        if len(vecs) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} vectors, got {len(vecs)}")
-        for v in vecs:
-            if not isinstance(v, PureState) or v.n != self.n:
-                raise ValueError("every basis vector must be a PureState on the same qubits")
-        object.__setattr__(self, "vectors", vecs)
+        if not 1 <= self.n <= MAX_STATE_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_STATE_QUBITS}], got {self.n}")
+        dim = 1 << self.n
+        object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
     def matrix(self) -> np.ndarray:
-        """Column j is the amplitude vector of basis vector j."""
-        return np.column_stack([v.amp for v in self.vectors])
+        """The stored read-only matrix; column j is the amplitude vector of basis vector j."""
+        return self.mat
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,6 @@ def canonical_j(dim: int) -> np.ndarray:
     return j
 
 
-def _pair_phase(k: int, n: int) -> complex:
-    # (-1)^popcount(k) * i^n, the phase linking the two members of a complement pair
-    return (-1.0) ** bin(k).count("1") * i_power(n)
-
-
 def magic_basis(n: int) -> BasisSet:
     """Generalized magic basis for even n: 2^(n-1) complement pairs, two vectors each.
 
@@ -104,50 +99,40 @@ def magic_basis(n: int) -> BasisSet:
         raise ValueError(f"qubit count capped at {MAX_STATE_QUBITS}")
     dim = 1 << n
     s2 = 1.0 / np.sqrt(2.0)
-    vectors = []
-    for k in representative_labels(n):
-        comp = dim - 1 - k
-        c = _pair_phase(int(k), n)
-        plus = np.zeros(dim, dtype=np.complex128)
-        plus[k] = s2
-        plus[comp] = c * s2
-        minus = np.zeros(dim, dtype=np.complex128)
-        minus[k] = 1j * s2
-        minus[comp] = -1j * c * s2
-        vectors.append(PureState(n, plus))
-        vectors.append(PureState(n, minus))
-    return BasisSet(n, tuple(vectors), MAGIC_ORDERING)
-
-
-def _product_vector(n: int, label: int) -> np.ndarray:
-    # tensor product of i|0> / |1> factors: one nonzero amplitude, at index `label`
-    dim = 1 << n
-    amp = np.zeros(dim, dtype=np.complex128)
-    zeros = n - bin(label).count("1")
-    amp[label] = i_power(zeros)
-    return amp
+    k = representative_labels(n)
+    comp = dim - 1 - k
+    c = parity_signs(n - 1) * i_power(n)  # representatives are exactly the indices below 2^(n-1)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[k, 2 * k] = s2
+    mat[comp, 2 * k] = c * s2
+    mat[k, 2 * k + 1] = 1j * s2
+    mat[comp, 2 * k + 1] = -1j * c * s2
+    return BasisSet(n, mat, MAGIC_ORDERING)
 
 
 def product_biortho_basis(n: int) -> BasisSet:
     """Product bi-orthonormal basis for odd n: per-qubit factors i|0> or |1>.
 
-    The pairing of a product vector with its complement partner is
-    (-1)^popcount(label); vectors are ordered into complement pairs with the
-    +1 member first, so the form Gram is exactly the canonical block J.
+    The vector with label l has one nonzero amplitude, i^(number of zeros in
+    l), at index l.  Its pairing with the complement partner is
+    (-1)^popcount(l); vectors are ordered into complement pairs with the +1
+    member first, so the form Gram is exactly the canonical block J.
     """
     if n % 2 != 1:
         raise ValueError("the product bi-orthonormal basis requires an odd qubit count")
     if n > MAX_STATE_QUBITS:
         raise ValueError(f"qubit count capped at {MAX_STATE_QUBITS}")
     dim = 1 << n
-    vectors = []
-    for k in representative_labels(n):
-        k = int(k)
-        comp = dim - 1 - k
-        pair = (k, comp) if bin(k).count("1") % 2 == 0 else (comp, k)
-        for label in pair:
-            vectors.append(PureState(n, _product_vector(n, label)))
-    return BasisSet(n, tuple(vectors), PRODUCT_ORDERING)
+    k = representative_labels(n)
+    comp = dim - 1 - k
+    plus_first = parity_signs(n - 1) > 0
+    labels = np.empty(dim, dtype=np.int64)
+    labels[0::2] = np.where(plus_first, k, comp)
+    labels[1::2] = np.where(plus_first, comp, k)
+    phases = np.array([i_power(m) for m in range(4)])
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[labels, np.arange(dim)] = phases[(n - popcount(labels)) % 4]
+    return BasisSet(n, mat, PRODUCT_ORDERING)
 
 
 def gram_pair(basis: BasisSet) -> GramPair:
@@ -185,6 +170,15 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     )
 
 
+def _require_biorthonormal(basis: BasisSet, tol: Tolerances) -> None:
+    report = check_biorthonormal(basis, tol)
+    if not report.passed:
+        raise ValueError(
+            "basis is not bi-orthonormal "
+            f"(hilbert residual {report.hilbert_residual:.3e}, form residual {report.form_residual:.3e})"
+        )
+
+
 def state_coefficients(basis: BasisSet, psi: PureState) -> np.ndarray:
     """Expansion coefficients of ``psi`` over a Hilbert-orthonormal basis."""
     if basis.n != psi.n:
@@ -194,9 +188,7 @@ def state_coefficients(basis: BasisSet, psi: PureState) -> np.ndarray:
 
 def _basis_from_matrix(reference: BasisSet, mix: np.ndarray, ordering: str) -> BasisSet:
     # new vector j = sum_l mix[j, l] * reference vector l
-    new = reference.matrix() @ mix.T
-    vectors = tuple(PureState(reference.n, new[:, j]) for j in range(reference.dim))
-    return BasisSet(reference.n, vectors, ordering)
+    return BasisSet(reference.n, reference.matrix() @ mix.T, ordering)
 
 
 def basis_from_orthogonal(o: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:
@@ -226,12 +218,7 @@ def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     """
     if basis.n % 2 != 0:
         raise ValueError("magic-basis decomposition requires an even qubit count")
-    report = check_biorthonormal(basis, tol)
-    if not report.passed:
-        raise ValueError(
-            "basis is not bi-orthonormal "
-            f"(hilbert residual {report.hilbert_residual:.3e}, form residual {report.form_residual:.3e})"
-        )
+    _require_biorthonormal(basis, tol)
     coeff = (magic_basis(basis.n).matrix().conj().T @ basis.matrix()).T
     imag_max = float(np.max(np.abs(coeff.imag)))
     defect = float(np.linalg.norm(coeff @ coeff.T - np.eye(basis.dim)))

@@ -26,14 +26,12 @@ from .bases import (
 from .core import (
     GlobalOperator,
     LocalOperatorList,
-    PureState,
     Tolerances,
     expand_local,
-    random_state,
     random_sl2,
     random_su2,
 )
-from .entanglement import is_maximally_entangled, maxent_generate, tangle
+from .entanglement import _as_normalized, is_maximally_entangled, maxent_generate, tangle
 from .files import (
     REPORT_FORMAT,
     FileFormatError,
@@ -51,7 +49,13 @@ from .flip import (
     flip_state,
     flip_state_dense,
 )
-from .groups import canonical_basis, classify_operator, represent_in_basis, slocc_obstruction
+from .groups import (
+    _form_defect,
+    canonical_basis,
+    classify_operator,
+    represent_in_basis,
+    slocc_obstruction,
+)
 from .selftest import run_selftest
 
 
@@ -107,15 +111,8 @@ def _cmd_tangle(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.dense_oracle:
-            norm_sq = float(np.vdot(psi.amp, psi.amp).real)
-            if norm_sq == 0.0:
-                raise ValueError("cannot evaluate the tangle of the zero vector")
-            if abs(norm_sq - 1.0) > tol.tol_norm:
-                warnings.warn(
-                    f"state norm^2 = {norm_sq:.12g} differs from 1; "
-                    "tangle reported with normalization factored out"
-                )
-            value = abs(bilinear_form_dense(psi, psi).value) / norm_sq
+            psi = _as_normalized(psi, tol)
+            value = abs(bilinear_form_dense(psi, psi).value)
         else:
             value = tangle(psi, tol)
     return _emit(
@@ -207,13 +204,7 @@ def _cmd_op(args) -> int:
     basis = read_basis(args.basis_file) if args.basis_file else canonical_basis(as_global.n)
     r = represent_in_basis(as_global, basis, tol)
     kind = FormKind.for_qubits(as_global.n)
-    if kind is FormKind.ORTHOGONAL:
-        defect = float(np.linalg.norm(r.T @ r - np.eye(r.shape[0])))
-    else:
-        from .bases import canonical_j
-
-        j = canonical_j(r.shape[0])
-        defect = float(np.linalg.norm(r.T @ j @ r - j))
+    defect = _form_defect(r, kind)
     if args.out:
         write_operator(args.out, GlobalOperator(as_global.n, r))
     return _emit(
@@ -237,7 +228,7 @@ def _cmd_maxent(args) -> int:
                 "phase": report.phase_residual,
                 "structure": report.structure_residual,
             },
-            values={"n": psi.n, "theta": report.theta},
+            values={"n": psi.n, "theta": report.theta, "criteria_agree": report.criteria_agree},
         )
 
     # generate

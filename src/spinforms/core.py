@@ -42,7 +42,8 @@ DEFAULT_TOL = Tolerances()
 
 
 def _frozen_complex(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+    # C order also for transposed views (basis files), so every stored matrix has one layout
+    arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
@@ -157,14 +158,15 @@ def apply(op: GlobalOperator, psi: PureState) -> PureState:
     return PureState(psi.n, op.mat @ psi.amp)
 
 
-def _gaussian_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+def random_state(n: int, seed: int | np.random.Generator) -> PureState:
+    """Haar-random state: i.i.d. standard complex Gaussian amplitudes, normalized.
 
-
-def random_state(n: int, seed: int) -> PureState:
-    """Haar-random state: i.i.d. standard complex Gaussian amplitudes, normalized."""
+    ``seed`` may also be a ``np.random.Generator``; it is then used as is
+    (``np.random.default_rng`` returns it unchanged), so successive calls
+    continue one stream.
+    """
     rng = np.random.default_rng(seed)
-    z = _gaussian_amplitudes(rng, 1 << n)
+    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return PureState(n, z / np.linalg.norm(z))
 
 

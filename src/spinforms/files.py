@@ -137,7 +137,7 @@ def write_basis(path, basis: BasisSet) -> None:
         "format": BASIS_FORMAT,
         "n": basis.n,
         "ordering": basis.ordering,
-        "vectors": [_pairs(v.amp) for v in basis.vectors],
+        "vectors": _matrix_pairs(basis.matrix().T),
     }
     _dump(path, data)
 
@@ -146,13 +146,8 @@ def read_basis(path) -> BasisSet:
     data = _load(path)
     _expect_format(data, BASIS_FORMAT, path)
     n = _expect_n(data, path)
-    rows = data.get("vectors")
-    if not isinstance(rows, list) or len(rows) != 1 << n:
-        raise FileFormatError(f"{path}: 'vectors' must list {1 << n} vectors")
-    vectors = tuple(
-        PureState(n, _vector_from_pairs(row, 1 << n, f"vector {i}")) for i, row in enumerate(rows)
-    )
+    vectors = _matrix_from_pairs(data.get("vectors"), 1 << n, f"{path}: 'vectors'")  # one row per vector
     ordering = data.get("ordering", "")
     if not isinstance(ordering, str):
         raise FileFormatError(f"{path}: 'ordering' must be a string")
-    return BasisSet(n, vectors, ordering)
+    return BasisSet(n, vectors.T, ordering)

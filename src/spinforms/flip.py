@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .bits import i_power, minus_i_power, parity_signs
-from .core import DEFAULT_TOL, GlobalOperator, PureState, Tolerances
+from .core import DEFAULT_TOL, GlobalOperator, PureState, Tolerances, random_state
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -113,13 +113,9 @@ def form_parity_check(
     """Verify the exchange symmetry of the form on random state pairs."""
     rng = np.random.default_rng(seed)
     sign = FormKind.for_qubits(n).exchange_sign
-    dim = 1 << n
     worst = 0.0
     for _ in range(trials):
-        z1 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        z2 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi = PureState(n, z1 / np.linalg.norm(z1))
-        phi = PureState(n, z2 / np.linalg.norm(z2))
+        psi, phi = random_state(n, rng), random_state(n, rng)
         gap = abs(bilinear_form(psi, phi).value - sign * bilinear_form(phi, psi).value)
         worst = max(worst, gap)
     return FormParityReport(

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bases import (
     BasisSet,
+    _require_biorthonormal,
     canonical_j,
-    check_biorthonormal,
     magic_basis,
     product_biortho_basis,
 )
@@ -43,11 +43,17 @@ class FormPreservation:
 
 
 def is_form_preserving(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> FormPreservation:
-    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi)."""
+    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi).
+
+    ``residual`` is the absolute ||flip(M)^dag M - I||_F.  The product is
+    quadratic in M, so its rounding error grows with ||M||_F^2; the verdict
+    passes iff the residual is at most tol_residual * ||M||_F^2.
+    """
     residual = float(
         np.linalg.norm(flip_operator(op).mat.conj().T @ op.mat - np.eye(op.dim))
     )
-    return FormPreservation(passed=residual <= tol.tol_residual, residual=residual)
+    scale = float(np.linalg.norm(op.mat)) ** 2
+    return FormPreservation(passed=residual <= tol.tol_residual * scale, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -92,20 +98,20 @@ def local_form_criterion(local: LocalOperatorList, tol: Tolerances = DEFAULT_TOL
     )
 
 
+def _represent(op: GlobalOperator, basis: BasisSet) -> np.ndarray:
+    # R[j, k] = <B_j | op B_k>, with no check on the basis
+    v = basis.matrix()
+    return v.conj().T @ op.mat @ v
+
+
 def represent_in_basis(
     op: GlobalOperator, basis: BasisSet, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Matrix of ``op`` in a bi-orthonormal basis: R[j, k] = <B_j | op B_k>."""
     if op.n != basis.n:
         raise ValueError(f"qubit counts differ: operator {op.n} vs basis {basis.n}")
-    report = check_biorthonormal(basis, tol)
-    if not report.passed:
-        raise ValueError(
-            "basis is not bi-orthonormal "
-            f"(hilbert residual {report.hilbert_residual:.3e}, form residual {report.form_residual:.3e})"
-        )
-    v = basis.matrix()
-    return v.conj().T @ op.mat @ v
+    _require_biorthonormal(basis, tol)
+    return _represent(op, basis)
 
 
 def _form_defect(r: np.ndarray, kind: FormKind) -> float:
@@ -160,8 +166,9 @@ def homomorphism_check(
     local = _renormalized_sl2(local, tol)
     n = local.n
     basis = canonical_basis(n)
+    _require_biorthonormal(basis, tol)
     kind = FormKind.for_qubits(n)
-    r = represent_in_basis(expand_local(local), basis, tol)
+    r = _represent(expand_local(local), basis)
     form_residual = _form_defect(r, kind)
 
     rng = np.random.default_rng(seed)
@@ -170,11 +177,11 @@ def homomorphism_check(
         partner = LocalOperatorList(
             tuple(random_sl2(int(rng.integers(0, 2**63))) for _ in range(n))
         )
-        r_partner = represent_in_basis(expand_local(partner), basis, tol)
+        r_partner = _represent(expand_local(partner), basis)
         composed = LocalOperatorList(
             tuple(a @ b for a, b in zip(local.ops, partner.ops))
         )
-        r_composed = represent_in_basis(expand_local(composed), basis, tol)
+        r_composed = _represent(expand_local(composed), basis)
         worst = max(worst, float(np.linalg.norm(r_composed - r @ r_partner)))
 
     return HomomorphismReport(
@@ -232,8 +239,7 @@ def classify_operator(
         op = expand_local(op)
     unitary_residual = float(np.linalg.norm(op.mat.conj().T @ op.mat - np.eye(op.dim)))
     preservation = is_form_preserving(op, tol)
-    r = canonical_basis(op.n).matrix()
-    rep = r.conj().T @ op.mat @ r
+    rep = _represent(op, canonical_basis(op.n))
     return OperatorClassReport(
         is_unitary=unitary_residual <= tol.tol_residual,
         unitary_residual=unitary_residual,

@@ -20,11 +20,6 @@ class CheckResult:
     detail: str
 
 
-def _random_state(rng: np.random.Generator, n: int) -> core.PureState:
-    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return core.PureState(n, z / np.linalg.norm(z))
-
-
 def _check_index_round_trip(max_n: int) -> CheckResult:
     ok = all(
         bits.bits_to_index(bits.index_to_bits(k, n)) == k
@@ -39,8 +34,8 @@ def _check_kernel_vs_oracle(max_n: int, states_per_n: int, seed: int) -> CheckRe
     worst = 0.0
     for n in range(1, max_n + 1):
         for _ in range(states_per_n):
-            psi = _random_state(rng, n)
-            phi = _random_state(rng, n)
+            psi = core.random_state(n, rng)
+            phi = core.random_state(n, rng)
             worst = max(
                 worst,
                 float(np.max(np.abs(flip.flip_state(psi).amp - flip.flip_state_dense(psi).amp))),
@@ -65,7 +60,7 @@ def _check_operator_algebra(trials: int, seed: int) -> CheckResult:
     for _ in range(trials):
         a = core.GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         b = core.GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        psi = _random_state(rng, n)
+        psi = core.random_state(n, rng)
         bar_a, bar_b = flip.flip_operator(a), flip.flip_operator(b)
         worst = max(
             worst,
@@ -83,7 +78,10 @@ def _check_canonical_bases(even_ns, odd_ns) -> CheckResult:
     for n in even_ns:
         basis = bases.magic_basis(n)
         report = bases.check_biorthonormal(basis)
-        selfconj = all(bases.self_conjugacy_coefficient_check(v).passed for v in basis.vectors)
+        selfconj = all(
+            bases.self_conjugacy_coefficient_check(core.PureState(n, col)).passed
+            for col in basis.matrix().T
+        )
         ok = ok and report.passed and selfconj
         details.append(f"magic n={n}: {max(report.hilbert_residual, report.form_residual):.1e}")
     for n in odd_ns:
@@ -148,13 +146,13 @@ def _check_maxent_coherence(n: int, trials: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(trials):
-        verdict = entanglement.is_maximally_entangled(_random_state(rng, n))
-        ok = ok and not verdict.passed
+        verdict = entanglement.is_maximally_entangled(core.random_state(n, rng))
+        ok = ok and not verdict.passed and verdict.criteria_agree
         nu = rng.normal(size=1 << n)
         nu /= np.linalg.norm(nu)
         generated = entanglement.maxent_generate(n, float(rng.uniform(0, 2 * np.pi)), nu)
         verdict = entanglement.is_maximally_entangled(generated)
-        ok = ok and verdict.passed
+        ok = ok and verdict.passed and verdict.criteria_agree
         ok = ok and entanglement.polygon_collinearity_residual(
             entanglement.tangle_result(generated).polygon
         ) <= 1e-8
@@ -168,7 +166,7 @@ def _check_amplitude_bound(n: int, trials: int, seed: int) -> CheckResult:
     basis = bases.magic_basis(n)
     worst = 0.0
     for _ in range(trials):
-        report = entanglement.amplitude_bound_check(_random_state(rng, n), basis)
+        report = entanglement.amplitude_bound_check(core.random_state(n, rng), basis)
         worst = min(worst, report.slack)
     return CheckResult(f"amplitude-bound-n{n}", worst >= -1e-10, f"min slack {worst:.3e}")
 
@@ -178,7 +176,7 @@ def _check_sl_invariance(n: int, trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for i in range(trials):
         local = core.LocalOperatorList(tuple(core.random_sl2(seed + 31 * i + q) for q in range(n)))
-        psi = _random_state(rng, n)
+        psi = core.random_state(n, rng)
         moved = core.apply(core.expand_local(local), psi)
         worst = max(
             worst,
@@ -193,9 +191,7 @@ def _check_sl_invariance(n: int, trials: int, seed: int) -> CheckResult:
 def _check_tangle_performance(n: int, budget_seconds: float) -> CheckResult:
     import time
 
-    rng = np.random.default_rng(2024)
-    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    psi = core.PureState(n, z / np.linalg.norm(z))
+    psi = core.random_state(n, 2024)
     start = time.perf_counter()
     entanglement.tangle(psi)
     elapsed = time.perf_counter() - start

@@ -32,6 +32,7 @@ from spinforms.core import (
     expand_local,
     make_state,
     random_sl2,
+    random_state,
 )
 from spinforms.entanglement import (
     amplitude_bound_check,
@@ -60,11 +61,6 @@ def report(criterion, passed, detail):
     assert passed, f"{criterion}: {detail}"
 
 
-def rand_state(rng, n):
-    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return PureState(n, z / np.linalg.norm(z))
-
-
 def rand_operator(rng, n):
     dim = 1 << n
     return GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
@@ -81,7 +77,7 @@ def test_01_oracle_equivalence():
     start = time.perf_counter()
     for n in range(1, 9):
         for _ in range(100):
-            psi, phi = rand_state(rng, n), rand_state(rng, n)
+            psi, phi = random_state(n, rng), random_state(n, rng)
             worst = max(
                 worst,
                 float(np.max(np.abs(flip_state(psi).amp - flip_state_dense(psi).amp))),
@@ -101,7 +97,7 @@ def test_02_form_parity():
     for n in (1, 2, 3, 4, 5, 6):
         sign = 1.0 if n % 2 == 0 else -1.0
         for _ in range(100):
-            psi, phi = rand_state(rng, n), rand_state(rng, n)
+            psi, phi = random_state(n, rng), random_state(n, rng)
             worst = max(
                 worst,
                 abs(bilinear_form(psi, phi).value - sign * bilinear_form(phi, psi).value),
@@ -119,7 +115,7 @@ def test_03_operator_algebra():
     for _ in range(100):
         n = int(rng.integers(1, 4))
         a, b = rand_operator(rng, n), rand_operator(rng, n)
-        psi, phi = rand_state(rng, n), rand_state(rng, n)
+        psi, phi = random_state(n, rng), random_state(n, rng)
         za, zb = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
         bar_a, bar_b = flip_operator(a), flip_operator(b)
 
@@ -192,9 +188,9 @@ def test_04_magic_basis():
         basis = magic_basis(n)
         result = check_biorthonormal(basis)
         worst_gram = max(worst_gram, result.hilbert_residual, result.form_residual)
-        for v in basis.vectors:
+        for v in basis.matrix().T:
             worst_selfconj = max(
-                worst_selfconj, self_conjugacy_coefficient_check(v).max_residual
+                worst_selfconj, self_conjugacy_coefficient_check(PureState(n, v)).max_residual
             )
     report(
         "04 magic-basis",
@@ -214,9 +210,9 @@ def test_05_orthogonal_round_trip():
             assert check_biorthonormal(basis).passed
             worst = max(worst, float(np.max(np.abs(decompose_basis(basis) - o))))
             if i < 5:
-                vectors = list(basis.vectors)
-                vectors[i % dim] = PureState(n, np.exp(1j * np.pi / 4) * vectors[i % dim].amp)
-                perturbed = BasisSet(n, tuple(vectors))
+                mat = basis.matrix().copy()
+                mat[:, i % dim] = np.exp(1j * np.pi / 4) * mat[:, i % dim]
+                perturbed = BasisSet(n, mat)
                 controls_fail = controls_fail and not check_biorthonormal(perturbed).passed
                 with pytest.raises(ValueError):
                     decompose_basis(perturbed)
@@ -277,8 +273,7 @@ def test_08_unitary_symplectic_bases():
     controls_fail = True
     for mix in (1j * np.eye(8), np.diag([2.0, 0.5] * 4).astype(complex)):
         mixed = prod @ mix.T
-        vectors = tuple(PureState(3, mixed[:, k]) for k in range(8))
-        controls_fail = controls_fail and not check_biorthonormal(BasisSet(3, vectors)).passed
+        controls_fail = controls_fail and not check_biorthonormal(BasisSet(3, mixed)).passed
     report(
         "08 unitary-symplectic-bases",
         all_pass and controls_fail,
@@ -293,7 +288,7 @@ def test_09_coefficient_tangle_consistency():
         bases = [
             basis_from_orthogonal(random_real_orthogonal(1 << n, 8000 * n + i)) for i in range(10)
         ]
-        states = [rand_state(rng, n) for _ in range(100)]
+        states = [random_state(n, rng) for _ in range(100)]
         for basis in bases:
             for psi in states:
                 coeffs = state_coefficients(basis, psi)
@@ -317,7 +312,7 @@ def test_10_golden_values():
         ("tangle(|00>)", tangle(basis_state(2, 0)), 0.0),
         ("tangle(ghz4)", tangle(ghz4), 1.0),
         ("tangle(w4)", tangle(w4), 0.0),
-        ("tangle(random n=3)", tangle(rand_state(rng, 3)), 0.0),
+        ("tangle(random n=3)", tangle(random_state(3, rng)), 0.0),
     ]
     worst = max(abs(got - want) for _, got, want in goldens)
     report("10 golden-values", worst <= 1e-10, f"max deviation {worst:.2e}")
@@ -329,13 +324,14 @@ def test_11_maxent_coherence():
     worst_tangle, worst_line = 0.0, 0.0
     for n in (2, 4):
         for _ in range(500):
-            # verdict agreement is asserted inside the call for every state
-            ok = ok and not is_maximally_entangled(rand_state(rng, n)).passed
+            verdict = is_maximally_entangled(random_state(n, rng))
+            ok = ok and not verdict.passed and verdict.criteria_agree
         for _ in range(500):
             nu = rng.normal(size=1 << n)
             nu /= np.linalg.norm(nu)
             psi = maxent_generate(n, float(rng.uniform(0.0, 2.0 * np.pi)), nu)
-            ok = ok and is_maximally_entangled(psi).passed
+            verdict = is_maximally_entangled(psi)
+            ok = ok and verdict.passed and verdict.criteria_agree
             worst_tangle = max(worst_tangle, abs(tangle(psi) - 1.0))
             worst_line = max(
                 worst_line, polygon_collinearity_residual(tangle_result(psi).polygon)
@@ -353,7 +349,7 @@ def test_12_amplitude_inequality():
     for n in (2, 4):
         basis = magic_basis(n)
         for _ in range(5000):
-            result = amplitude_bound_check(rand_state(rng, n), basis)
+            result = amplitude_bound_check(random_state(n, rng), basis)
             worst_slack = min(worst_slack, result.slack)
     tight = amplitude_bound_check(basis_state(2, 0), magic_basis(2))
     tightness_gap = abs(tight.slack)
@@ -370,7 +366,7 @@ def test_13_sl_invariance():
     for n in (2, 4):
         for i in range(100):
             local = LocalOperatorList(tuple(random_sl2(9000 * n + 10 * i + q) for q in range(n)))
-            psi = rand_state(rng, n)
+            psi = random_state(n, rng)
             moved = PureState(n, expand_local(local).mat @ psi.amp)
             worst = max(
                 worst,
@@ -383,13 +379,13 @@ def test_13_sl_invariance():
 
 def test_14_performance_and_large_n():
     rng = np.random.default_rng(14)
-    psi = rand_state(rng, 20)
+    psi = random_state(20, rng)
     start = time.perf_counter()
     value = tangle(psi)
     elapsed = time.perf_counter() - start
     assert 0.0 <= value <= 1.0 + 1e-10
 
-    psi8, phi8 = rand_state(rng, 8), rand_state(rng, 8)
+    psi8, phi8 = random_state(8, rng), random_state(8, rng)
     oracle_gap = abs(bilinear_form(psi8, phi8).value - bilinear_form_dense(psi8, phi8).value)
     report(
         "14 performance",

@@ -18,14 +18,22 @@ from spinforms.bases import (
     state_coefficients,
     unitary_symplectic_residuals,
 )
-from spinforms.core import LocalOperatorList, PureState, basis_state, expand_local, make_state, random_su2
+from spinforms.core import (
+    MAX_STATE_QUBITS,
+    LocalOperatorList,
+    PureState,
+    basis_state,
+    expand_local,
+    make_state,
+    random_su2,
+)
 from spinforms.flip import flip_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
 
 def test_magic_basis_two_qubits():
-    vecs = [v.amp for v in magic_basis(2).vectors]
+    vecs = magic_basis(2).matrix().T
     np.testing.assert_allclose(vecs[0], [S2, 0, 0, -S2], atol=1e-15)
     np.testing.assert_allclose(vecs[1], [1j * S2, 0, 0, 1j * S2], atol=1e-15)
     np.testing.assert_allclose(vecs[2], [0, S2, S2, 0], atol=1e-15)
@@ -35,7 +43,8 @@ def test_magic_basis_two_qubits():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_magic_basis_self_conjugate_and_biorthonormal(n):
     basis = magic_basis(n)
-    for v in basis.vectors:
+    for j in range(basis.dim):
+        v = PureState(n, basis.matrix()[:, j])
         np.testing.assert_allclose(flip_state(v).amp, v.amp, atol=1e-14)
         assert self_conjugacy_coefficient_check(v).passed
     report = check_biorthonormal(basis)
@@ -48,10 +57,10 @@ def test_magic_basis_pair_structure():
     n = 4
     basis = magic_basis(n)
     assert len(representative_labels(n)) == 2 ** (n - 1)
-    assert len(basis.vectors) == 2**n
+    assert basis.matrix().shape[1] == 2**n
     # each representative contributes a plus/minus pair on the same support
     for m in range(2 ** (n - 1)):
-        plus, minus = basis.vectors[2 * m].amp, basis.vectors[2 * m + 1].amp
+        plus, minus = basis.matrix()[:, 2 * m], basis.matrix()[:, 2 * m + 1]
         np.testing.assert_array_equal(plus != 0, minus != 0)
 
 
@@ -62,15 +71,15 @@ def test_magic_basis_rejects_odd_n():
 
 def test_product_basis_single_qubit():
     basis = product_biortho_basis(1)
-    np.testing.assert_array_equal(basis.vectors[0].amp, [1j, 0])
-    np.testing.assert_array_equal(basis.vectors[1].amp, [0, 1])
+    np.testing.assert_array_equal(basis.matrix()[:, 0], [1j, 0])
+    np.testing.assert_array_equal(basis.matrix()[:, 1], [0, 1])
     np.testing.assert_allclose(gram_pair(basis).form_gram, [[0, 1], [-1, 0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_product_basis_biorthonormal(n):
     basis = product_biortho_basis(n)
-    assert all(abs(v.norm() - 1.0) < 1e-14 for v in basis.vectors)
+    assert all(abs(np.linalg.norm(v) - 1.0) < 1e-14 for v in basis.matrix().T)
     report = check_biorthonormal(basis)
     assert report.passed
     np.testing.assert_allclose(gram_pair(basis).form_gram, canonical_j(1 << n), atol=1e-14)
@@ -81,8 +90,31 @@ def test_product_basis_rejects_even_n():
         product_biortho_basis(2)
 
 
+def test_basis_set_holds_one_read_only_matrix():
+    mat = np.eye(4)
+    basis = BasisSet(2, mat)
+    assert basis.matrix() is basis.matrix()
+    assert not basis.matrix().flags.writeable
+    assert not hasattr(basis, "vectors")
+    mat[0, 0] = 5.0  # the basis keeps its own copy
+    assert basis.matrix()[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        basis.matrix()[0, 0] = 2.0
+
+
+def test_basis_set_rejects_bad_shape_and_qubit_count():
+    with pytest.raises(ValueError):
+        BasisSet(2, np.eye(3))
+    with pytest.raises(ValueError):
+        BasisSet(2, np.eye(4)[:, :3])
+    with pytest.raises(ValueError):
+        BasisSet(0, np.eye(1))
+    with pytest.raises(ValueError):
+        BasisSet(MAX_STATE_QUBITS + 1, np.eye(2))
+
+
 def test_computational_basis_is_not_biorthonormal():
-    basis = BasisSet(2, tuple(basis_state(2, k) for k in range(4)))
+    basis = BasisSet(2, np.eye(4))
     report = check_biorthonormal(basis)
     assert not report.passed
     assert report.hilbert_residual <= 1e-14
@@ -124,9 +156,9 @@ def test_decompose_magic_is_identity():
 
 def test_decompose_rejects_phase_perturbation():
     basis = basis_from_orthogonal(random_real_orthogonal(4, 7))
-    vectors = list(basis.vectors)
-    vectors[2] = PureState(2, np.exp(1j * np.pi / 4) * vectors[2].amp)
-    perturbed = BasisSet(2, tuple(vectors))
+    mat = basis.matrix().copy()
+    mat[:, 2] = np.exp(1j * np.pi / 4) * mat[:, 2]
+    perturbed = BasisSet(2, mat)
     assert not check_biorthonormal(perturbed).passed
     with pytest.raises(ValueError):
         decompose_basis(perturbed)
@@ -174,8 +206,7 @@ def test_negative_control_transforms_fail_biortho_check():
     unitary_only = prod @ (1j * np.eye(8)).T
     sympl_only = prod @ np.diag([2.0, 0.5] * 4).T
     for mixed in (unitary_only, sympl_only):
-        vectors = tuple(PureState(n, mixed[:, j]) for j in range(8))
-        assert not check_biorthonormal(BasisSet(n, vectors)).passed
+        assert not check_biorthonormal(BasisSet(n, mixed)).passed
 
 
 def test_biortho_bases_decompose_to_unitary_symplectic():
@@ -185,7 +216,7 @@ def test_biortho_bases_decompose_to_unitary_symplectic():
     basis = product_biortho_basis(n)
     rotation = expand_local(LocalOperatorList(tuple(random_su2(200 + q) for q in range(n))))
     rotated = rotation.mat @ basis.matrix()
-    assert check_biorthonormal(BasisSet(n, tuple(PureState(n, rotated[:, j]) for j in range(8)))).passed
+    assert check_biorthonormal(BasisSet(n, rotated)).passed
     mix = (basis.matrix().conj().T @ rotated).T
     unit, sympl = unitary_symplectic_residuals(mix)
     assert unit <= 1e-12

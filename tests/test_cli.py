@@ -112,7 +112,7 @@ def test_basis_magic_emit_and_check(tmp_path, capsys):
     assert code == 0
     assert report["verdicts"]["biorthonormal"] is True
     assert report["values"]["vectors"] == 4
-    assert len(read_basis(out).vectors) == 4
+    assert read_basis(out).matrix().shape == (4, 4)
     code, report = run(capsys, "basis", "check", out)
     assert code == 0
     assert report["verdicts"]["biorthonormal"] is True
@@ -190,6 +190,18 @@ def test_maxent_generate_then_check(tmp_path, capsys):
     code, report = run(capsys, "maxent", "check", out)
     assert code == 0
     assert report["verdicts"]["maximally_entangled"] is True
+
+
+def test_maxent_check_reports_criteria_disagreement(tmp_path, capsys):
+    # first magic vector plus 1e-5 |01>: tangle gap ~1e-10 passes, the phase and
+    # structure residuals ~1e-5 do not
+    amp = np.array([S2, 1e-5, 0, -S2])
+    path = tmp_path / "s.json"
+    write_state(path, make_state(2, amp / np.linalg.norm(amp)))
+    code, report = run(capsys, "maxent", "check", path)
+    assert code == 0
+    assert report["verdicts"]["maximally_entangled"] is True
+    assert report["values"]["criteria_agree"] is False
 
 
 def test_maxent_check_fails_product_state(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_amplitude_bound_random_states():
 def test_amplitude_bound_rejects_bad_basis():
     from spinforms.bases import BasisSet
 
-    computational = BasisSet(2, tuple(basis_state(2, k) for k in range(4)))
+    computational = BasisSet(2, np.eye(4))
     with pytest.raises(ValueError):
         amplitude_bound_check(BELL, computational)
 
@@ -164,7 +164,7 @@ def test_maxent_structure_check_examples():
 
 def test_maxent_generate_first_magic_vector():
     psi = maxent_generate(2, 0.0, [1.0, 0, 0, 0])
-    np.testing.assert_allclose(psi.amp, magic_basis(2).vectors[0].amp, atol=1e-15)
+    np.testing.assert_allclose(psi.amp, magic_basis(2).matrix()[:, 0], atol=1e-15)
     assert tangle(psi) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -209,11 +209,28 @@ def test_maxent_generate_rejects_bad_nu():
 def test_three_conditions_agree():
     rng = np.random.default_rng(66)
     for _ in range(100):
-        is_maximally_entangled(random_state(2, int(rng.integers(0, 2**31))))
+        report = is_maximally_entangled(random_state(2, int(rng.integers(0, 2**31))))
+        assert report.criteria_agree
         nu = rng.normal(size=4)
         nu /= np.linalg.norm(nu)
         report = is_maximally_entangled(maxent_generate(2, float(rng.uniform(0, np.pi)), nu))
-        assert report.passed
+        assert report.passed and report.criteria_agree
+
+
+def test_perturbed_maximal_states_report_disagreement():
+    # the tangle gap is quadratic in the perturbation, the phase and structure
+    # residuals linear, so near maximal entanglement the criteria can differ
+    rng = np.random.default_rng(2024)
+    disagreements = 0
+    for _ in range(300):
+        nu = rng.normal(size=4)
+        nu /= np.linalg.norm(nu)
+        amp = maxent_generate(2, float(rng.uniform(0, 2 * np.pi)), nu).amp
+        amp = amp + rng.uniform(0, 1e-4) * random_state(2, rng).amp
+        report = is_maximally_entangled(make_state(2, amp / np.linalg.norm(amp)))
+        assert report.passed == (report.tangle_gap <= 1e-8)
+        disagreements += not report.criteria_agree
+    assert disagreements > 0
 
 
 def test_polygon_straight_for_maximal_states():

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from spinforms.bases import magic_basis, product_biortho_basis
+from spinforms.bases import (
+    basis_from_orthogonal,
+    basis_from_unitary_symplectic,
+    magic_basis,
+    product_biortho_basis,
+    random_real_orthogonal,
+    random_unitary_symplectic,
+)
 from spinforms.core import GlobalOperator, LocalOperatorList, random_sl2, random_state
 from spinforms.files import (
     FileFormatError,
@@ -108,6 +115,19 @@ def test_basis_round_trip(tmp_path, basis_fn, n):
     assert back.n == n
     assert back.ordering == basis.ordering
     np.testing.assert_array_equal(back.matrix(), basis.matrix())
+
+
+def test_basis_round_trip_bit_exact(tmp_path):
+    # random mixes fill every bit of the doubles; the canonical bases carry signed zeros
+    for basis in (
+        basis_from_orthogonal(random_real_orthogonal(4, 11)),
+        basis_from_unitary_symplectic(random_unitary_symplectic(8, 11)),
+        magic_basis(4),
+        product_biortho_basis(3),
+    ):
+        path = tmp_path / "basis.json"
+        write_basis(path, basis)
+        assert read_basis(path).matrix().tobytes() == basis.matrix().tobytes()
 
 
 def test_basis_rejects_wrong_cardinality(tmp_path):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from spinforms.core import GlobalOperator, LocalOperatorList, PureState, basis_state, expand_local, make_state
+from spinforms.core import (
+    GlobalOperator,
+    LocalOperatorList,
+    PureState,
+    basis_state,
+    expand_local,
+    make_state,
+    random_state,
+)
 from spinforms.flip import (
     SIGMA_Y,
     FormKind,
@@ -16,11 +24,6 @@ from spinforms.flip import (
 )
 
 S2 = 1.0 / np.sqrt(2.0)
-
-
-def rand_state(rng, n):
-    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return PureState(n, z / np.linalg.norm(z))
 
 
 def rand_operator(rng, n):
@@ -39,7 +42,7 @@ def test_flip_two_qubits():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_double_flip_sign(n):
-    psi = rand_state(np.random.default_rng(n), n)
+    psi = random_state(n, n)
     twice = flip_state(flip_state(psi))
     np.testing.assert_allclose(twice.amp, (-1.0) ** n * psi.amp, atol=1e-14)
 
@@ -47,7 +50,7 @@ def test_double_flip_sign(n):
 def test_flip_antilinearity():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
-        psi, phi = rand_state(rng, n), rand_state(rng, n)
+        psi, phi = random_state(n, rng), random_state(n, rng)
         a, b = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
         combo = PureState(n, a * psi.amp + b * phi.amp)
         want = np.conj(a) * flip_state(psi).amp + np.conj(b) * flip_state(phi).amp
@@ -57,7 +60,7 @@ def test_flip_antilinearity():
 def test_flip_conjugates_hilbert_inner():
     rng = np.random.default_rng(8)
     for n in (1, 2, 4):
-        psi, phi = rand_state(rng, n), rand_state(rng, n)
+        psi, phi = random_state(n, rng), random_state(n, rng)
         lhs = np.vdot(flip_state(psi).amp, flip_state(phi).amp)
         rhs = np.conj(np.vdot(psi.amp, phi.amp))
         assert abs(lhs - rhs) < 1e-12
@@ -109,7 +112,7 @@ def test_flip_operator_algebra():
     n = 3
     for _ in range(20):
         a, b = rand_operator(rng, n), rand_operator(rng, n)
-        psi = rand_state(rng, n)
+        psi = random_state(n, rng)
         bar_a, bar_b = flip_operator(a), flip_operator(b)
         # involution
         np.testing.assert_allclose(flip_operator(bar_a).mat, a.mat, atol=1e-12)
@@ -148,15 +151,15 @@ def test_bilinear_form_single_qubit_matrix():
 def test_bilinear_form_examples():
     psi = make_state(2, [S2, 0, 0, -S2])
     assert bilinear_form(psi, psi).value == pytest.approx(1.0)
-    odd = rand_state(np.random.default_rng(13), 3)
+    odd = random_state(3, 13)
     assert abs(bilinear_form(odd, odd).value) < 1e-14
     with pytest.raises(ValueError):
         bilinear_form(basis_state(1, 0), basis_state(2, 0))
 
 
 def test_bilinear_form_kind():
-    psi2 = rand_state(np.random.default_rng(14), 2)
-    psi3 = rand_state(np.random.default_rng(14), 3)
+    psi2 = random_state(2, 14)
+    psi3 = random_state(3, 14)
     assert bilinear_form(psi2, psi2).kind is FormKind.ORTHOGONAL
     assert bilinear_form(psi3, psi3).kind is FormKind.SYMPLECTIC
 
@@ -164,7 +167,7 @@ def test_bilinear_form_kind():
 def test_form_equals_flipped_inner_product_both_paths():
     rng = np.random.default_rng(15)
     for n in (1, 2, 3, 4):
-        psi, phi = rand_state(rng, n), rand_state(rng, n)
+        psi, phi = random_state(n, rng), random_state(n, rng)
         value = bilinear_form(psi, phi).value
         assert abs(value - np.vdot(flip_state(psi).amp, phi.amp)) < 1e-14
         assert abs(value - np.vdot(flip_state_dense(psi).amp, phi.amp)) < 1e-14
@@ -174,7 +177,7 @@ def test_form_equals_flipped_inner_product_both_paths():
 def test_kernel_matches_dense_oracle(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
-        psi, phi = rand_state(rng, n), rand_state(rng, n)
+        psi, phi = random_state(n, rng), random_state(n, rng)
         np.testing.assert_allclose(
             flip_state(psi).amp, flip_state_dense(psi).amp, atol=1e-12
         )

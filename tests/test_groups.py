@@ -6,7 +6,6 @@ from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
     PureState,
-    basis_state,
     expand_local,
     random_sl2,
     random_su2,
@@ -80,7 +79,7 @@ def test_represent_identity():
 def test_represent_requires_biorthonormal_basis():
     from spinforms.bases import BasisSet
 
-    basis = BasisSet(2, tuple(basis_state(2, k) for k in range(4)))
+    basis = BasisSet(2, np.eye(4))
     with pytest.raises(ValueError):
         represent_in_basis(GlobalOperator(2, np.eye(4)), basis)
 
@@ -167,6 +166,35 @@ def test_cnot_is_obstructed():
     verdict = slocc_obstruction(CNOT)
     assert verdict.obstructed
     assert verdict.residual == pytest.approx(2.0 * np.sqrt(2.0))
+
+
+def stretched_local(n):
+    # u diag(10, 1/10) v per qubit, u and v in SU(2): unit determinants, large norm
+    stretch = np.diag([10.0, 0.1])
+    return LocalOperatorList(
+        tuple(random_su2(1000 + 2 * q) @ stretch @ random_su2(1001 + 2 * q) for q in range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_large_norm_local_operation_is_not_obstructed(n):
+    # the absolute residual reaches 1.7e-6 at n = 6 and 1.6e-3 at n = 8; relative to
+    # ||M||_F^2 it is about 1e-18
+    local = stretched_local(n)
+    op = expand_local(local)
+    assert is_form_preserving(op).passed
+    assert not slocc_obstruction(op).obstructed
+    assert classify_operator(local).is_form_preserving
+    assert local_form_criterion(local).passed
+
+
+def test_scaled_threshold_keeps_obstructions():
+    rng = np.random.default_rng(7)
+    dense = GlobalOperator(6, rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    for op in (CNOT, GlobalOperator(2, 2.0 * np.eye(4)), dense):
+        verdict = slocc_obstruction(op)
+        assert verdict.obstructed
+        assert verdict.residual >= 0.1 * np.linalg.norm(op.mat) ** 2
 
 
 def test_classify_operator_global():
