@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import i_power, minus_i_power, parity_signs, popcount
+from .bits import _I_POW, i_power, minus_i_power, parity_signs, popcount
 from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _frozen_complex
 from .flip import FormKind, flip_state
 
@@ -129,9 +129,8 @@ def product_biortho_basis(n: int) -> BasisSet:
     labels = np.empty(dim, dtype=np.int64)
     labels[0::2] = np.where(plus_first, k, comp)
     labels[1::2] = np.where(plus_first, comp, k)
-    phases = np.array([i_power(m) for m in range(4)])
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[labels, np.arange(dim)] = phases[(n - popcount(labels)) % 4]
+    mat[labels, np.arange(dim)] = np.asarray(_I_POW)[(n - popcount(labels)) % 4]
     return BasisSet(n, mat, PRODUCT_ORDERING)
 
 

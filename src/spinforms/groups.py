@@ -43,17 +43,11 @@ class FormPreservation:
 
 
 def is_form_preserving(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> FormPreservation:
-    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi).
-
-    ``residual`` is the absolute ||flip(M)^dag M - I||_F.  The product is
-    quadratic in M, so its rounding error grows with ||M||_F^2; the verdict
-    passes iff the residual is at most tol_residual * ||M||_F^2.
-    """
+    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi)."""
     residual = float(
         np.linalg.norm(flip_operator(op).mat.conj().T @ op.mat - np.eye(op.dim))
     )
-    scale = float(np.linalg.norm(op.mat)) ** 2
-    return FormPreservation(passed=residual <= tol.tol_residual * scale, residual=residual)
+    return FormPreservation(passed=residual <= tol.tol_residual, residual=residual)
 
 
 @dataclass(frozen=True)

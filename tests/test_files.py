@@ -106,7 +106,19 @@ def test_operator_rejects_unknown_kind(tmp_path):
         read_operator(path)
 
 
-@pytest.mark.parametrize("basis_fn, n", [(magic_basis, 2), (product_biortho_basis, 3)])
+def orthogonal_mix(n):
+    return basis_from_orthogonal(random_real_orthogonal(2**n, 11))
+
+
+def symplectic_mix(n):
+    return basis_from_unitary_symplectic(random_unitary_symplectic(2**n, 11))
+
+
+# the canonical bases carry signed zeros; the random mixes fill every bit of the doubles
+@pytest.mark.parametrize(
+    "basis_fn, n",
+    [(magic_basis, 2), (product_biortho_basis, 3), (magic_basis, 4), (orthogonal_mix, 2), (symplectic_mix, 3)],
+)
 def test_basis_round_trip(tmp_path, basis_fn, n):
     basis = basis_fn(n)
     path = tmp_path / "basis.json"
@@ -114,20 +126,7 @@ def test_basis_round_trip(tmp_path, basis_fn, n):
     back = read_basis(path)
     assert back.n == n
     assert back.ordering == basis.ordering
-    np.testing.assert_array_equal(back.matrix(), basis.matrix())
-
-
-def test_basis_round_trip_bit_exact(tmp_path):
-    # random mixes fill every bit of the doubles; the canonical bases carry signed zeros
-    for basis in (
-        basis_from_orthogonal(random_real_orthogonal(4, 11)),
-        basis_from_unitary_symplectic(random_unitary_symplectic(8, 11)),
-        magic_basis(4),
-        product_biortho_basis(3),
-    ):
-        path = tmp_path / "basis.json"
-        write_basis(path, basis)
-        assert read_basis(path).matrix().tobytes() == basis.matrix().tobytes()
+    assert back.matrix().tobytes() == basis.matrix().tobytes()
 
 
 def test_basis_rejects_wrong_cardinality(tmp_path):
