@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import _I_POW, i_power, minus_i_power, parity_signs, popcount
-from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _frozen_complex
+from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _frozen_complex, _require_qubits
 from .flip import FormKind, flip_state
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
@@ -26,7 +26,8 @@ PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
 class BasisSet:
     """Ordered basis of n-qubit states held as one 2^n x 2^n matrix: column j is vector j.
 
-    ``ordering`` documents the convention.
+    ``ordering`` documents the convention.  Being dense, a basis shares the
+    operator cap MAX_OPERATOR_QUBITS.
     """
 
     n: int
@@ -34,8 +35,7 @@ class BasisSet:
     ordering: str = ""
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_STATE_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_STATE_QUBITS}], got {self.n}")
+        _require_qubits(self.n, MAX_OPERATOR_QUBITS)
         dim = 1 << self.n
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
@@ -95,8 +95,7 @@ def magic_basis(n: int) -> BasisSet:
     """
     if n % 2 != 0:
         raise ValueError("the magic basis requires an even qubit count")
-    if n > MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count capped at {MAX_STATE_QUBITS}")
+    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
     dim = 1 << n
     s2 = 1.0 / np.sqrt(2.0)
     k = representative_labels(n)
@@ -120,8 +119,7 @@ def product_biortho_basis(n: int) -> BasisSet:
     """
     if n % 2 != 1:
         raise ValueError("the product bi-orthonormal basis requires an odd qubit count")
-    if n > MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count capped at {MAX_STATE_QUBITS}")
+    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
     dim = 1 << n
     k = representative_labels(n)
     comp = dim - 1 - k

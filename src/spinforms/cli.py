@@ -50,11 +50,11 @@ from .flip import (
     flip_state_dense,
 )
 from .groups import (
+    SLOCC_NOTE,
     _form_defect,
     canonical_basis,
     classify_operator,
     represent_in_basis,
-    slocc_obstruction,
 )
 from .selftest import run_selftest
 
@@ -164,7 +164,6 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_op(args) -> int:
-    tol = _tolerances(args)
     if args.subcommand == "random-local":
         draw = random_sl2 if args.group == "sl2" else random_su2
         local = LocalOperatorList(tuple(draw(args.seed + i) for i in range(args.n)))
@@ -176,11 +175,11 @@ def _cmd_op(args) -> int:
             seed=args.seed,
         )
 
+    tol = _tolerances(args)
     op = read_operator(args.operator)
     if args.subcommand == "classify":
         report = classify_operator(op, tol)
-        as_global = expand_local(op) if isinstance(op, LocalOperatorList) else op
-        verdict = slocc_obstruction(as_global, tol)
+        # slocc_obstruction's verdict is the form-preservation test classify_operator just ran
         return _emit(
             args,
             verdicts={"form_preserving": report.is_form_preserving},
@@ -190,12 +189,12 @@ def _cmd_op(args) -> int:
                 "basis_representation": report.basis_rep_residual,
             },
             values={
-                "n": as_global.n,
-                "kind": FormKind.for_qubits(as_global.n).value,
+                "n": op.n,
+                "kind": FormKind.for_qubits(op.n).value,
                 "is_unitary": report.is_unitary,
                 "dets": None if report.dets is None else [_pair(d) for d in report.dets],
-                "slocc": "Obstructed" if verdict.obstructed else "NotObstructed",
-                "slocc_note": verdict.note,
+                "slocc": "NotObstructed" if report.is_form_preserving else "Obstructed",
+                "slocc_note": SLOCC_NOTE,
             },
         )
 
@@ -261,6 +260,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # attached only to the leaf commands that read them; anywhere else argparse rejects them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-norm", type=float, default=Tolerances().tol_norm)
     common.add_argument("--tol-gram", type=float, default=Tolerances().tol_gram)
@@ -273,13 +273,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinforms {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("flip", parents=[common], help="spin-flip a state file")
+    p = sub.add_parser("flip", help="spin-flip a state file")
     p.add_argument("state")
     p.add_argument("--out", required=True)
     p.add_argument("--dense-oracle", action="store_true", help="force the dense sigma_y^(x)n path (n <= 8)")
     p.set_defaults(func=_cmd_flip)
 
-    p = sub.add_parser("form", parents=[common], help="bilinear form of two state files")
+    p = sub.add_parser("form", help="bilinear form of two state files")
     p.add_argument("state_a")
     p.add_argument("state_b")
     p.add_argument("--dense-oracle", action="store_true")
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-oracle", action="store_true")
     p.set_defaults(func=_cmd_tangle)
 
-    p = sub.add_parser("basis", parents=[common], help="emit or check bi-orthonormal bases")
+    p = sub.add_parser("basis", help="emit or check bi-orthonormal bases")
     basis_sub = p.add_subparsers(dest="subcommand", required=True)
     for name in ("magic", "product", "random-biortho"):
         q = basis_sub.add_parser(name, parents=[common])
@@ -303,12 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("basis")
     q.set_defaults(func=_cmd_basis, subcommand="check")
 
-    p = sub.add_parser("op", parents=[common], help="classify or represent operators")
+    p = sub.add_parser("op", help="classify or represent operators")
     op_sub = p.add_subparsers(dest="subcommand", required=True)
     q = op_sub.add_parser("classify", parents=[common])
     q.add_argument("operator")
     q.set_defaults(func=_cmd_op, subcommand="classify")
-    q = op_sub.add_parser("random-local", parents=[common])
+    q = op_sub.add_parser("random-local")
     q.add_argument("-n", type=int, required=True)
     q.add_argument("--group", choices=("sl2", "su2"), default="sl2")
     q.add_argument("--seed", type=int, default=0)
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None, help="write the represented matrix as an operator file")
     q.set_defaults(func=_cmd_op, subcommand="represent")
 
-    p = sub.add_parser("maxent", parents=[common], help="check or generate maximally entangled states")
+    p = sub.add_parser("maxent", help="check or generate maximally entangled states")
     me_sub = p.add_subparsers(dest="subcommand", required=True)
     q = me_sub.add_parser("check", parents=[common])
     q.add_argument("state")
@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_maxent, subcommand="generate")
 
-    p = sub.add_parser("selftest", parents=[common], help="run the invariant suites")
+    p = sub.add_parser("selftest", help="run the invariant suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_selftest)

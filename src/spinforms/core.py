@@ -41,6 +41,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _require_qubits(n: int, cap: int) -> None:
+    if not 1 <= n <= cap:
+        raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
+
+
 def _frozen_complex(values, shape) -> np.ndarray:
     # C order also for transposed views (basis files), so every stored matrix has one layout
     arr = np.array(values, dtype=np.complex128, order="C")
@@ -58,8 +63,7 @@ class PureState:
     amp: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_STATE_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_STATE_QUBITS}], got {self.n}")
+        _require_qubits(self.n, MAX_STATE_QUBITS)
         object.__setattr__(self, "amp", _frozen_complex(self.amp, (1 << self.n,)))
 
     @property
@@ -78,8 +82,7 @@ class GlobalOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_OPERATOR_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_OPERATOR_QUBITS}], got {self.n}")
+        _require_qubits(self.n, MAX_OPERATOR_QUBITS)
         dim = 1 << self.n
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
@@ -168,6 +171,16 @@ def random_state(n: int, seed: int | np.random.Generator) -> PureState:
     rng = np.random.default_rng(seed)
     z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return PureState(n, z / np.linalg.norm(z))
+
+
+def random_operator(n: int, seed: int | np.random.Generator) -> GlobalOperator:
+    """Complex Ginibre operator: i.i.d. standard complex Gaussian entries, real parts drawn first.
+
+    ``seed`` may be a ``np.random.Generator``, as for ``random_state``.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    return GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_sl2(seed: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 """State, operator, and basis files: versioned JSON with [re, im] pairs.
 
 The format is deliberately plain: a ``format`` tag, integer ``n``, and
-complex numbers always as two-element [re, im] arrays.  JSON floats round
-trip bit-exactly for finite doubles; non-finite values are rejected.
+complex numbers always as two-element [re, im] arrays.  An entry is valid iff
+it is a JSON number that converts to a finite double; anything else (true,
+null, strings, NaN, Infinity, integers beyond the double range, ragged
+lists) is a FileFormatError.  JSON floats round trip bit-exactly for finite
+doubles.
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .bases import BasisSet
-from .core import GlobalOperator, LocalOperatorList, PureState
+from .core import (
+    MAX_OPERATOR_QUBITS,
+    MAX_STATE_QUBITS,
+    GlobalOperator,
+    LocalOperatorList,
+    PureState,
+)
 
 STATE_FORMAT = "spinforms.state/1"
 OPERATOR_FORMAT = "spinforms.operator/1"
@@ -25,31 +34,31 @@ class FileFormatError(ValueError):
     """Raised when a file does not conform to the expected schema."""
 
 
-def _pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _pairs(arr: np.ndarray) -> list:
+    """Nested lists of [re, im] floats, one per complex entry."""
+    return np.ascontiguousarray(arr).view(np.float64).reshape(*arr.shape, 2).tolist()
 
 
-def _vector_from_pairs(pairs, length: int, what: str) -> np.ndarray:
-    if not isinstance(pairs, list) or len(pairs) != length:
-        raise FileFormatError(f"{what} must be a list of {length} [re, im] pairs")
-    out = np.empty(length, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FileFormatError(f"{what}[{i}] must be an [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise FileFormatError(f"{what}[{i}] entries must be numbers")
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise FileFormatError(f"{what}[{i}] entries must be finite")
-        out[i] = complex(re, im)
-    return out
+def _complex_array(values, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of ``shape`` from nested lists of [re, im] pairs of JSON numbers."""
+    arr = np.array(values, dtype=object)  # ragged lists stay list objects
+    if arr.shape != (*shape, 2) or not set(map(type, arr.flat)) <= {int, float}:
+        raise FileFormatError(f"{what} must be {' x '.join(map(str, shape))} [re, im] pairs of numbers")
+    try:
+        re_im = arr.astype(np.float64)
+    except OverflowError as exc:  # an integer beyond the double range
+        raise FileFormatError(f"{what} entries must be finite doubles") from exc
+    if not np.isfinite(re_im).all():
+        raise FileFormatError(f"{what} entries must be finite doubles")
+    # a view, not re + 1j * im, which would turn a -0.0 real part into +0.0
+    return re_im.view(np.complex128).reshape(shape)
 
 
 def _load(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, oversized int literal, deep nesting
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be an object")
@@ -65,10 +74,10 @@ def _expect_format(data: dict, tag: str, path) -> None:
         raise FileFormatError(f"{path}: expected format {tag!r}, got {data.get('format')!r}")
 
 
-def _expect_n(data: dict, path) -> int:
+def _expect_n(data: dict, path, cap: int) -> int:
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise FileFormatError(f"{path}: 'n' must be a positive integer")
+    if type(n) is not int or not 1 <= n <= cap:
+        raise FileFormatError(f"{path}: 'n' must be an integer in [1, {cap}]")
     return n
 
 
@@ -82,19 +91,8 @@ def write_state(path, state: PureState, metadata: dict | None = None) -> None:
 def read_state(path) -> PureState:
     data = _load(path)
     _expect_format(data, STATE_FORMAT, path)
-    n = _expect_n(data, path)
-    amp = _vector_from_pairs(data.get("amplitudes"), 1 << n, "amplitudes")
-    return PureState(n, amp)
-
-
-def _matrix_pairs(mat: np.ndarray) -> list:
-    return [_pairs(row) for row in mat]
-
-
-def _matrix_from_pairs(rows, dim: int, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise FileFormatError(f"{what} must be a list of {dim} rows")
-    return np.stack([_vector_from_pairs(row, dim, f"{what} row {i}") for i, row in enumerate(rows)])
+    n = _expect_n(data, path, MAX_STATE_QUBITS)
+    return PureState(n, _complex_array(data.get("amplitudes"), (1 << n,), "amplitudes"))
 
 
 def write_operator(path, op: GlobalOperator | LocalOperatorList) -> None:
@@ -103,14 +101,14 @@ def write_operator(path, op: GlobalOperator | LocalOperatorList) -> None:
             "format": OPERATOR_FORMAT,
             "kind": "global",
             "n": op.n,
-            "matrix": _matrix_pairs(op.mat),
+            "matrix": _pairs(op.mat),
         }
     else:
         data = {
             "format": OPERATOR_FORMAT,
             "kind": "local",
             "n": op.n,
-            "factors": [_matrix_pairs(a) for a in op.ops],
+            "factors": [_pairs(a) for a in op.ops],
         }
     _dump(path, data)
 
@@ -118,17 +116,14 @@ def write_operator(path, op: GlobalOperator | LocalOperatorList) -> None:
 def read_operator(path) -> GlobalOperator | LocalOperatorList:
     data = _load(path)
     _expect_format(data, OPERATOR_FORMAT, path)
-    n = _expect_n(data, path)
     kind = data.get("kind")
     if kind == "global":
-        return GlobalOperator(n, _matrix_from_pairs(data.get("matrix"), 1 << n, "matrix"))
+        n = _expect_n(data, path, MAX_OPERATOR_QUBITS)
+        return GlobalOperator(n, _complex_array(data.get("matrix"), (1 << n, 1 << n), "matrix"))
     if kind == "local":
-        factors = data.get("factors")
-        if not isinstance(factors, list) or len(factors) != n:
-            raise FileFormatError(f"{path}: 'factors' must list {n} 2x2 matrices")
-        return LocalOperatorList(
-            tuple(_matrix_from_pairs(f, 2, f"factor {i}") for i, f in enumerate(factors))
-        )
+        # a local operation acts on states, so it shares their cap
+        n = _expect_n(data, path, MAX_STATE_QUBITS)
+        return LocalOperatorList(tuple(_complex_array(data.get("factors"), (n, 2, 2), "factors")))
     raise FileFormatError(f"{path}: 'kind' must be 'global' or 'local', got {kind!r}")
 
 
@@ -137,7 +132,7 @@ def write_basis(path, basis: BasisSet) -> None:
         "format": BASIS_FORMAT,
         "n": basis.n,
         "ordering": basis.ordering,
-        "vectors": _matrix_pairs(basis.matrix().T),
+        "vectors": _pairs(basis.matrix().T),
     }
     _dump(path, data)
 
@@ -145,8 +140,8 @@ def write_basis(path, basis: BasisSet) -> None:
 def read_basis(path) -> BasisSet:
     data = _load(path)
     _expect_format(data, BASIS_FORMAT, path)
-    n = _expect_n(data, path)
-    vectors = _matrix_from_pairs(data.get("vectors"), 1 << n, f"{path}: 'vectors'")  # one row per vector
+    n = _expect_n(data, path, MAX_OPERATOR_QUBITS)  # a basis is a dense 2^n x 2^n matrix
+    vectors = _complex_array(data.get("vectors"), (1 << n, 1 << n), f"{path}: 'vectors'")  # one row per vector
     ordering = data.get("ordering", "")
     if not isinstance(ordering, str):
         raise FileFormatError(f"{path}: 'ordering' must be a string")

@@ -102,15 +102,19 @@ class FormParityReport:
     n: int
     kind: FormKind
     trials: int
-    seed: int
+    seed: int | np.random.Generator
     max_residual: float
     passed: bool
 
 
 def form_parity_check(
-    n: int, trials: int = 100, seed: int = 0, tol: Tolerances = DEFAULT_TOL
+    n: int, trials: int = 100, seed: int | np.random.Generator = 0, tol: Tolerances = DEFAULT_TOL
 ) -> FormParityReport:
-    """Verify the exchange symmetry of the form on random state pairs."""
+    """Verify the exchange symmetry of the form on random state pairs.
+
+    A ``np.random.Generator`` as ``seed`` is used as is, so several calls can
+    share one stream.
+    """
     rng = np.random.default_rng(seed)
     sign = FormKind.for_qubits(n).exchange_sign
     worst = 0.0

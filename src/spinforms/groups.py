@@ -190,6 +190,9 @@ def homomorphism_check(
     )
 
 
+SLOCC_NOTE = "necessary condition only"
+
+
 @dataclass(frozen=True)
 class SloccVerdict:
     obstructed: bool
@@ -206,7 +209,7 @@ def slocc_obstruction(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> Sloc
     return SloccVerdict(
         obstructed=not check.passed,
         residual=check.residual,
-        note="necessary condition only",
+        note=SLOCC_NOTE,
     )
 
 

@@ -1,11 +1,20 @@
-"""End-to-end invariant suites behind the ``selftest`` command.
+"""The invariant checks: one function per acceptance criterion.
 
-``quick`` exercises every subsystem at small size; ``full`` adds the larger
-oracle-equivalence sweeps and bigger trial counts.
+Each check takes its counts, seeds and thresholds as arguments and returns a
+``CheckResult`` whose detail is the criterion's one-line summary.
+``tests/test_acceptance.py`` calls every check with the pinned values;
+``run_selftest`` (the ``selftest`` command) calls the same checks with its
+own counts.
+
+Seeds come in two kinds.  ``seed`` starts one random stream that all draws
+of a check share.  A ``*_seed`` base gives draw i at qubit count n the seed
+``base * n + i``, and qubit q of a local operator the seed
+``base * n + 10 * i + q``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +29,22 @@ class CheckResult:
     detail: str
 
 
-def _check_index_round_trip(max_n: int) -> CheckResult:
+def _rel_residual(lhs, rhs) -> float:
+    rhs = np.asarray(rhs)
+    return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs)))
+
+
+def _local_sl2(n: int, local_seed: int, i: int) -> core.LocalOperatorList:
+    return core.LocalOperatorList(tuple(core.random_sl2(local_seed * n + 10 * i + q) for q in range(n)))
+
+
+def _count(k: int) -> str:
+    """``k`` for a detail line; a power of ten from 1000 up is written 10^e."""
+    e = len(str(k)) - 1
+    return f"10^{e}" if k >= 1000 and k == 10**e else str(k)
+
+
+def check_index_round_trip(max_n: int) -> CheckResult:
     ok = all(
         bits.bits_to_index(bits.index_to_bits(k, n)) == k
         for n in range(1, max_n + 1)
@@ -29,197 +53,362 @@ def _check_index_round_trip(max_n: int) -> CheckResult:
     return CheckResult("index-round-trip", ok, f"exhaustive n <= {max_n}")
 
 
-def _check_kernel_vs_oracle(max_n: int, states_per_n: int, seed: int) -> CheckResult:
+def check_oracle_equivalence(
+    max_n: int, states_per_n: int, seed: int, *, tol: float = 1e-12, budget_s: float = 10.0
+) -> CheckResult:
+    """Matrix-free flip and form against the dense sigma_y^(x)n oracle, within a time budget."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    start = time.perf_counter()
     for n in range(1, max_n + 1):
         for _ in range(states_per_n):
-            psi = core.random_state(n, rng)
-            phi = core.random_state(n, rng)
+            psi, phi = core.random_state(n, rng), core.random_state(n, rng)
             worst = max(
                 worst,
                 float(np.max(np.abs(flip.flip_state(psi).amp - flip.flip_state_dense(psi).amp))),
                 abs(flip.bilinear_form(psi, phi).value - flip.bilinear_form_dense(psi, phi).value),
             )
-    return CheckResult("kernel-oracle-equivalence", worst <= 1e-12, f"max residual {worst:.3e}, n <= {max_n}")
-
-
-def _check_form_parity(ns, trials: int, seed: int) -> CheckResult:
-    reports = [flip.form_parity_check(n, trials=trials, seed=seed + n) for n in ns]
-    worst = max(r.max_residual for r in reports)
+    elapsed = time.perf_counter() - start
     return CheckResult(
-        "form-parity", all(r.passed for r in reports), f"max residual {worst:.3e}, n in {list(ns)}"
+        "oracle-equivalence",
+        worst <= tol and elapsed < budget_s,
+        f"max residual {worst:.2e} over n<={max_n}, {states_per_n} states each, {elapsed:.1f}s",
     )
 
 
-def _check_operator_algebra(trials: int, seed: int) -> CheckResult:
+def check_form_parity(ns, trials: int, seed: int, *, tol: float = 1e-12) -> CheckResult:
+    """form(psi, phi) = (-1)^n form(phi, psi) on random pairs, one stream across all n."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    n = 2
-    dim = 1 << n
+    reports = [flip.form_parity_check(n, trials, rng, core.Tolerances(tol_residual=tol)) for n in ns]
+    worst = max(r.max_residual for r in reports)
+    return CheckResult("form-parity", all(r.passed for r in reports), f"max exchange residual {worst:.2e}")
+
+
+def check_operator_algebra(trials: int, max_n: int, seed: int, *, tol: float = 1e-10) -> CheckResult:
+    """Nine identities of the operator flip on random operators at random n <= max_n."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+
+    def record(name, value):
+        worst[name] = max(worst.get(name, 0.0), value)
+
     for _ in range(trials):
-        a = core.GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        b = core.GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        psi = core.random_state(n, rng)
-        bar_a, bar_b = flip.flip_operator(a), flip.flip_operator(b)
-        worst = max(
-            worst,
-            float(np.linalg.norm(flip.flip_operator(bar_a).mat - a.mat)),
-            float(np.linalg.norm(flip.flip_operator(core.GlobalOperator(n, a.mat @ b.mat)).mat - bar_a.mat @ bar_b.mat)),
-            float(np.max(np.abs(core.apply(bar_a, flip.flip_state(psi)).amp - flip.flip_state(core.apply(a, psi)).amp))),
-            float(np.linalg.norm(flip.flip_operator(core.GlobalOperator(n, a.mat.conj().T)).mat - bar_a.mat.conj().T)),
+        n = int(rng.integers(1, max_n + 1))
+        a, b = core.random_operator(n, rng), core.random_operator(n, rng)
+        psi, phi = core.random_state(n, rng), core.random_state(n, rng)
+        za, zb = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+
+        def flipped(mat):
+            return flip.flip_operator(core.GlobalOperator(n, mat)).mat
+
+        def expanded(ops):
+            return core.expand_local(core.LocalOperatorList(tuple(ops))).mat
+
+        bar_a, bar_b, eye = flipped(a.mat), flipped(b.mat), np.eye(1 << n)
+        inner_flipped = np.vdot(flip.flip_state(psi).amp, flip.flip_state(phi).amp)
+        record("inner-conjugation", abs(inner_flipped - np.conj(np.vdot(psi.amp, phi.amp))))
+        record(
+            "antilinearity",
+            _rel_residual(flipped(za * a.mat + zb * b.mat), np.conj(za) * bar_a + np.conj(zb) * bar_b),
         )
-    return CheckResult("operator-algebra", worst <= 1e-10, f"max residual {worst:.3e}")
+        record("involution", _rel_residual(flipped(bar_a), a.mat))
+        record("identity-fixed", _rel_residual(flipped(eye), eye))
+        moved_flipped = flip.flip_state(core.apply(a, psi)).amp
+        record("intertwining", float(np.max(np.abs(moved_flipped - bar_a @ flip.flip_state(psi).amp))))
+        record("multiplicativity", _rel_residual(flipped(a.mat @ b.mat), bar_a @ bar_b))
+        record("adjoint", _rel_residual(flipped(a.mat.conj().T), bar_a.conj().T))
+        record("inverse", _rel_residual(flipped(np.linalg.inv(a.mat)), np.linalg.inv(bar_a)))
+        locals_ = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+        record(
+            "tensor-factorization",
+            _rel_residual(flipped(expanded(locals_)), expanded(map(flip.flip_local, locals_))),
+        )
+
+    top = sorted(worst.items(), key=lambda kv: -kv[1])[:3]
+    return CheckResult(
+        "operator-algebra",
+        max(worst.values()) <= tol,
+        "max residual " + ", ".join(f"{k} {v:.1e}" for k, v in top),
+    )
 
 
-def _check_canonical_bases(even_ns, odd_ns) -> CheckResult:
-    details = []
-    ok = True
+def check_magic_basis(even_ns, odd_ns, *, tol: float = 1e-10) -> CheckResult:
+    """Canonical bases: magic bases bi-orthonormal and flip-fixed, product bases bi-orthonormal."""
+    worst_gram, worst_selfconj = 0.0, 0.0
     for n in even_ns:
         basis = bases.magic_basis(n)
         report = bases.check_biorthonormal(basis)
-        selfconj = all(
-            bases.self_conjugacy_coefficient_check(core.PureState(n, col)).passed
-            for col in basis.matrix().T
-        )
-        ok = ok and report.passed and selfconj
-        details.append(f"magic n={n}: {max(report.hilbert_residual, report.form_residual):.1e}")
+        worst_gram = max(worst_gram, report.hilbert_residual, report.form_residual)
+        for v in basis.matrix().T:
+            worst_selfconj = max(
+                worst_selfconj,
+                bases.self_conjugacy_coefficient_check(core.PureState(n, v)).max_residual,
+            )
     for n in odd_ns:
         report = bases.check_biorthonormal(bases.product_biortho_basis(n))
-        ok = ok and report.passed
-        details.append(f"product n={n}: {max(report.hilbert_residual, report.form_residual):.1e}")
-    return CheckResult("canonical-bases", ok, "; ".join(details))
-
-
-def _check_orthogonal_round_trip(n: int, draws: int, seed: int) -> CheckResult:
-    worst = 0.0
-    ok = True
-    for i in range(draws):
-        o = bases.random_real_orthogonal(1 << n, seed + i)
-        basis = bases.basis_from_orthogonal(o)
-        ok = ok and bases.check_biorthonormal(basis).passed
-        worst = max(worst, float(np.max(np.abs(bases.decompose_basis(basis) - o))))
-    return CheckResult("orthogonal-round-trip", ok and worst <= 1e-8, f"max recovery error {worst:.3e}")
-
-
-def _check_unitary_symplectic(n: int, draws: int, seed: int) -> CheckResult:
-    ok = True
-    worst = 0.0
-    for i in range(draws):
-        s = bases.random_unitary_symplectic(1 << n, seed + i)
-        unit, sympl = bases.unitary_symplectic_residuals(s)
-        worst = max(worst, unit, sympl)
-        ok = ok and bases.check_biorthonormal(bases.basis_from_unitary_symplectic(s)).passed
-    return CheckResult("unitary-symplectic-bases", ok, f"max membership residual {worst:.3e}")
-
-
-def _check_homomorphism(ns, trials: int, seed: int) -> CheckResult:
-    ok = True
-    worst = 0.0
-    for n in ns:
-        local = core.LocalOperatorList(tuple(core.random_sl2(seed + 17 * n + i) for i in range(n)))
-        report = groups.homomorphism_check(local, trials=trials, seed=seed + n)
-        ok = ok and report.passed
-        worst = max(worst, report.form_residual, report.max_multiplicativity_residual)
-    return CheckResult("local-operation-homomorphism", ok, f"max residual {worst:.3e}, n in {list(ns)}")
-
-
-def _check_tangle_goldens() -> CheckResult:
-    s2 = 1.0 / np.sqrt(2.0)
-    bell = core.make_state(2, [s2, 0, 0, s2])
-    ghz4 = core.make_state(4, [s2] + [0.0] * 14 + [s2])
-    w4_amp = np.zeros(16)
-    w4_amp[[1, 2, 4, 8]] = 0.5
-    w4 = core.make_state(4, w4_amp)
-    values = {
-        "bell": (entanglement.tangle(bell), 1.0),
-        "zero-pair": (entanglement.tangle(core.basis_state(2, 0)), 0.0),
-        "ghz4": (entanglement.tangle(ghz4), 1.0),
-        "w4": (entanglement.tangle(w4), 0.0),
-        "odd-n": (entanglement.tangle(core.random_state(3, 5)), 0.0),
-    }
-    worst = max(abs(got - want) for got, want in values.values())
-    return CheckResult("tangle-goldens", worst <= 1e-10, f"max deviation {worst:.3e}")
-
-
-def _check_maxent_coherence(n: int, trials: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(trials):
-        verdict = entanglement.is_maximally_entangled(core.random_state(n, rng))
-        ok = ok and not verdict.passed and verdict.criteria_agree
-        nu = rng.normal(size=1 << n)
-        nu /= np.linalg.norm(nu)
-        generated = entanglement.maxent_generate(n, float(rng.uniform(0, 2 * np.pi)), nu)
-        verdict = entanglement.is_maximally_entangled(generated)
-        ok = ok and verdict.passed and verdict.criteria_agree
-        ok = ok and entanglement.polygon_collinearity_residual(
-            entanglement.tangle_result(generated).polygon
-        ) <= 1e-8
+        worst_gram = max(worst_gram, report.hilbert_residual, report.form_residual)
     return CheckResult(
-        f"maximal-entanglement-coherence-n{n}", ok, f"{trials} random + {trials} generated"
+        "magic-basis",
+        worst_gram <= tol and worst_selfconj <= tol,
+        f"gram residual {worst_gram:.2e}, self-conjugacy residual {worst_selfconj:.2e}",
     )
 
 
-def _check_amplitude_bound(n: int, trials: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    basis = bases.magic_basis(n)
+def check_orthogonal_round_trip(
+    ns, draws: int, controls: int, orthogonal_seed: int, *, tol: float = 1e-8
+) -> CheckResult:
+    """Magic basis mixed by a real orthogonal O decomposes back to O.
+
+    The first ``controls`` bases per n, with one vector's phase turned by
+    pi/4, must fail the bi-orthonormality check and be refused by the
+    decomposition.
+    """
     worst = 0.0
-    for _ in range(trials):
-        report = entanglement.amplitude_bound_check(core.random_state(n, rng), basis)
-        worst = min(worst, report.slack)
-    return CheckResult(f"amplitude-bound-n{n}", worst >= -1e-10, f"min slack {worst:.3e}")
-
-
-def _check_sl_invariance(n: int, trials: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(trials):
-        local = core.LocalOperatorList(tuple(core.random_sl2(seed + 31 * i + q) for q in range(n)))
-        psi = core.random_state(n, rng)
-        moved = core.apply(core.expand_local(local), psi)
-        worst = max(
-            worst,
-            abs(
-                abs(flip.bilinear_form(moved, moved).value)
-                - abs(flip.bilinear_form(psi, psi).value)
-            ),
-        )
-    return CheckResult("tangle-sl-invariance", worst <= 1e-8, f"max deviation {worst:.3e}")
-
-
-def _check_tangle_performance(n: int, budget_seconds: float) -> CheckResult:
-    import time
-
-    psi = core.random_state(n, 2024)
-    start = time.perf_counter()
-    entanglement.tangle(psi)
-    elapsed = time.perf_counter() - start
+    all_pass = controls_fail = True
+    for n in ns:
+        dim = 1 << n
+        for i in range(draws):
+            o = bases.random_real_orthogonal(dim, orthogonal_seed * n + i)
+            basis = bases.basis_from_orthogonal(o)
+            all_pass = all_pass and bases.check_biorthonormal(basis).passed
+            worst = max(worst, float(np.max(np.abs(bases.decompose_basis(basis) - o))))
+            if i < controls:
+                mat = basis.matrix().copy()
+                mat[:, i % dim] = np.exp(1j * np.pi / 4) * mat[:, i % dim]
+                perturbed = bases.BasisSet(n, mat)
+                controls_fail = controls_fail and not bases.check_biorthonormal(perturbed).passed
+                try:
+                    bases.decompose_basis(perturbed)
+                    controls_fail = False
+                except ValueError:
+                    pass
     return CheckResult(
-        "tangle-performance", elapsed <= budget_seconds, f"n={n} in {elapsed * 1e3:.1f} ms"
+        "orthogonal-round-trip",
+        all_pass and worst <= tol and controls_fail,
+        f"max recovery error {worst:.2e}, phase-perturbed controls fail: {controls_fail}",
+    )
+
+
+def _homomorphism_residuals(ns, draws, partners, local_seed, partner_seed) -> tuple[float, float]:
+    worst_form, worst_mult = 0.0, 0.0
+    for n in ns:
+        for i in range(draws):
+            result = groups.homomorphism_check(
+                _local_sl2(n, local_seed, i), trials=partners, seed=partner_seed * n + i
+            )
+            worst_form = max(worst_form, result.form_residual)
+            worst_mult = max(worst_mult, result.max_multiplicativity_residual)
+    return worst_form, worst_mult
+
+
+def check_even_homomorphism(
+    ns, draws: int, partners: int, local_seed: int, partner_seed: int, *, tol: float = 1e-8
+) -> CheckResult:
+    """SL(2)^(x)n in the magic basis is complex orthogonal and multiplicative (even n)."""
+    worst_form, worst_mult = _homomorphism_residuals(ns, draws, partners, local_seed, partner_seed)
+    return CheckResult(
+        "even-homomorphism",
+        worst_form <= tol and worst_mult <= tol,
+        f"orthogonality {worst_form:.2e}, multiplicativity {worst_mult:.2e}, "
+        f"{draws} draws per n in {tuple(ns)}",
+    )
+
+
+def check_odd_homomorphism(
+    ns, draws: int, partners: int, local_seed: int, partner_seed: int,
+    one_qubit_draws: int, one_qubit_seed: int, *, tol: float = 1e-8,
+) -> CheckResult:
+    """SL(2)^(x)n in the product basis is symplectic and multiplicative (odd n).
+
+    The 1-qubit case represents SL(2) over {i|0>, |1>} directly.
+    """
+    worst_form, worst_mult = _homomorphism_residuals(ns, draws, partners, local_seed, partner_seed)
+    one_qubit = 0.0
+    basis = bases.product_biortho_basis(1)
+    for i in range(one_qubit_draws):
+        local = core.LocalOperatorList((core.random_sl2(one_qubit_seed + i),))
+        r = groups.represent_in_basis(core.expand_local(local), basis)
+        one_qubit = max(one_qubit, groups._form_defect(r, flip.FormKind.SYMPLECTIC))
+    return CheckResult(
+        "odd-homomorphism",
+        worst_form <= tol and worst_mult <= tol and one_qubit <= tol,
+        f"symplecticity {worst_form:.2e}, multiplicativity {worst_mult:.2e}, 1-qubit case {one_qubit:.2e}",
+    )
+
+
+def check_unitary_symplectic_bases(ns, draws: int, symplectic_seed: int) -> CheckResult:
+    """Product basis mixed by a unitary-symplectic matrix stays bi-orthonormal.
+
+    Negative controls: a unitary-only and a symplectic-only mix at n = 3 fail.
+    """
+    all_pass = True
+    for n in ns:
+        for i in range(draws):
+            s = bases.random_unitary_symplectic(1 << n, symplectic_seed * n + i)
+            all_pass = all_pass and bases.check_biorthonormal(bases.basis_from_unitary_symplectic(s)).passed
+    prod = bases.product_biortho_basis(3).matrix()
+    controls_fail = True
+    for mix in (1j * np.eye(8), np.diag([2.0, 0.5] * 4).astype(complex)):
+        controls_fail = controls_fail and not bases.check_biorthonormal(bases.BasisSet(3, prod @ mix.T)).passed
+    return CheckResult(
+        "unitary-symplectic-bases",
+        all_pass and controls_fail,
+        f"{draws * len(ns)} transformed bases pass: {all_pass}, negative controls fail: {controls_fail}",
+    )
+
+
+def check_coefficient_tangle(
+    ns, bases_per_n: int, states_per_n: int, orthogonal_seed: int, seed: int, *, tol: float = 1e-10
+) -> CheckResult:
+    """|sum_l c_l^2| over random bi-orthonormal bases equals the matrix-free tangle."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in ns:
+        mixed = [
+            bases.basis_from_orthogonal(bases.random_real_orthogonal(1 << n, orthogonal_seed * n + i))
+            for i in range(bases_per_n)
+        ]
+        states = [core.random_state(n, rng) for _ in range(states_per_n)]
+        for basis in mixed:
+            for psi in states:
+                coeffs = bases.state_coefficients(basis, psi)
+                worst = max(
+                    worst, abs(entanglement.tangle_from_coefficients(coeffs) - entanglement.tangle(psi))
+                )
+    return CheckResult(
+        "coefficient-tangle",
+        worst <= tol,
+        f"max deviation {worst:.2e} over {bases_per_n * len(ns)} bases x {states_per_n} states per n",
+    )
+
+
+def check_golden_values(seed: int, *, tol: float = 1e-10) -> CheckResult:
+    """Tangle of Bell, |00>, GHZ4, W4 and a random 3-qubit state (odd n: zero)."""
+    s2 = 1.0 / np.sqrt(2.0)
+    w4_amp = np.zeros(16)
+    w4_amp[[1, 2, 4, 8]] = 0.5
+    goldens = [
+        (core.make_state(2, [s2, 0, 0, s2]), 1.0),
+        (core.basis_state(2, 0), 0.0),
+        (core.make_state(4, [s2] + [0.0] * 14 + [s2]), 1.0),
+        (core.make_state(4, w4_amp), 0.0),
+        (core.random_state(3, seed), 0.0),
+    ]
+    worst = max(abs(entanglement.tangle(psi) - want) for psi, want in goldens)
+    return CheckResult("golden-values", worst <= tol, f"max deviation {worst:.2e}")
+
+
+def check_maxent_coherence(
+    ns, trials: int, seed: int, *, tol_tangle: float = 1e-10, tol_line: float = 1e-8
+) -> CheckResult:
+    """Random states are judged not maximally entangled and generated ones are, all
+    three criteria agreeing; generated states have unit tangle and a straight polygon.
+    """
+    rng = np.random.default_rng(seed)
+    ok = True
+    worst_tangle, worst_line = 0.0, 0.0
+    for n in ns:
+        for _ in range(trials):
+            verdict = entanglement.is_maximally_entangled(core.random_state(n, rng))
+            ok = ok and not verdict.passed and verdict.criteria_agree
+        for _ in range(trials):
+            nu = rng.normal(size=1 << n)
+            nu /= np.linalg.norm(nu)
+            psi = entanglement.maxent_generate(n, float(rng.uniform(0.0, 2.0 * np.pi)), nu)
+            verdict = entanglement.is_maximally_entangled(psi)
+            ok = ok and verdict.passed and verdict.criteria_agree
+            worst_tangle = max(worst_tangle, abs(entanglement.tangle(psi) - 1.0))
+            worst_line = max(
+                worst_line,
+                entanglement.polygon_collinearity_residual(entanglement.tangle_result(psi).polygon),
+            )
+    return CheckResult(
+        "maxent-coherence",
+        ok and worst_tangle <= tol_tangle and worst_line <= tol_line,
+        f"verdicts agree: {ok}, generated tangle gap {worst_tangle:.2e}, collinearity {worst_line:.2e}",
+    )
+
+
+def check_amplitude_inequality(ns, states_per_n: int, seed: int, *, tol: float = 1e-10) -> CheckResult:
+    """|c_l|^2 <= (1 + tangle)/2 over the magic basis, with equality for |00>."""
+    rng = np.random.default_rng(seed)
+    worst_slack = np.inf
+    for n in ns:
+        basis = bases.magic_basis(n)
+        for _ in range(states_per_n):
+            result = entanglement.amplitude_bound_check(core.random_state(n, rng), basis)
+            worst_slack = min(worst_slack, result.slack)
+    tight = entanglement.amplitude_bound_check(core.basis_state(2, 0), bases.magic_basis(2))
+    tightness_gap = abs(tight.slack)
+    return CheckResult(
+        "amplitude-inequality",
+        worst_slack >= -tol and tightness_gap <= tol,
+        f"min slack {worst_slack:.2e} over {_count(states_per_n * len(ns))} states, "
+        f"|00> tightness gap {tightness_gap:.2e}",
+    )
+
+
+def check_sl_invariance(ns, draws: int, local_seed: int, seed: int, *, tol: float = 1e-8) -> CheckResult:
+    """|form(psi, psi)| is unchanged by unit-determinant local operations."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in ns:
+        for i in range(draws):
+            local = _local_sl2(n, local_seed, i)
+            psi = core.random_state(n, rng)
+            moved = core.apply(core.expand_local(local), psi)
+            worst = max(
+                worst,
+                abs(abs(flip.bilinear_form(moved, moved).value) - abs(flip.bilinear_form(psi, psi).value)),
+            )
+    return CheckResult(
+        "sl-invariance", worst <= tol, f"max form deviation {worst:.2e} over {draws * len(ns)} pairs"
+    )
+
+
+def check_performance(
+    n: int, oracle_n: int, seed: int, *, budget_s: float = 1.0, tol_value: float = 1e-10, tol: float = 1e-12
+) -> CheckResult:
+    """An n-qubit tangle within the time budget and in [0, 1]; the form at oracle_n against the oracle."""
+    rng = np.random.default_rng(seed)
+    psi = core.random_state(n, rng)
+    start = time.perf_counter()
+    value = entanglement.tangle(psi)
+    elapsed = time.perf_counter() - start
+    psi_o, phi_o = core.random_state(oracle_n, rng), core.random_state(oracle_n, rng)
+    oracle_gap = abs(flip.bilinear_form(psi_o, phi_o).value - flip.bilinear_form_dense(psi_o, phi_o).value)
+    return CheckResult(
+        "performance",
+        0.0 <= value <= 1.0 + tol_value and elapsed < budget_s and oracle_gap <= tol,
+        f"n={n} tangle in {elapsed * 1e3:.0f} ms, n={oracle_n} oracle gap {oracle_gap:.2e}",
     )
 
 
 def run_selftest(level: str = "quick", seed: int = 0) -> list[CheckResult]:
+    """Every check once, at small counts (``quick``) or larger ones (``full``).
+
+    ``seed`` shifts every stream seed and every seed base.
+    """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     full = level == "full"
-    checks = [
-        _check_index_round_trip(8 if full else 6),
-        _check_kernel_vs_oracle(8 if full else 5, 100 if full else 10, seed),
-        _check_form_parity((1, 2, 3, 4, 5, 6) if full else (2, 3), 100 if full else 25, seed),
-        _check_operator_algebra(100 if full else 10, seed),
-        _check_canonical_bases((2, 4, 6) if full else (2, 4), (1, 3, 5) if full else (1, 3)),
-        _check_orthogonal_round_trip(2, 50 if full else 10, seed),
-        _check_unitary_symplectic(3, 50 if full else 10, seed),
-        _check_homomorphism((1, 2, 3, 4, 5) if full else (1, 2, 3), 10 if full else 3, seed),
-        _check_tangle_goldens(),
-        _check_maxent_coherence(2, 200 if full else 25, seed),
-        _check_amplitude_bound(2, 1000 if full else 100, seed),
-        _check_sl_invariance(2, 50 if full else 10, seed),
+    return [
+        check_index_round_trip(8 if full else 6),
+        check_oracle_equivalence(8 if full else 5, 100 if full else 10, seed + 1),
+        check_form_parity((1, 2, 3, 4, 5, 6) if full else (2, 3), 100 if full else 25, seed + 2),
+        check_operator_algebra(100 if full else 10, 3, seed + 3),
+        check_magic_basis((2, 4, 6) if full else (2, 4), (1, 3, 5) if full else (1, 3)),
+        check_orthogonal_round_trip((2, 4) if full else (2,), 50 if full else 10, 5, seed + 1000),
+        check_even_homomorphism((2, 4) if full else (2,), 20 if full else 3, 3, seed + 2000, seed + 3000),
+        check_odd_homomorphism(
+            (1, 3, 5) if full else (1, 3), 20 if full else 3, 3, seed + 4000, seed + 5000,
+            100 if full else 10, seed + 6000,
+        ),
+        check_unitary_symplectic_bases((1, 3), 50 if full else 10, seed + 7000),
+        check_coefficient_tangle((2, 4) if full else (2,), 10 if full else 3, 100 if full else 20, seed + 8000, seed + 9),
+        check_golden_values(seed + 10),
+        check_maxent_coherence((2, 4) if full else (2,), 200 if full else 25, seed + 11),
+        check_amplitude_inequality((2, 4) if full else (2,), 1000 if full else 100, seed + 12),
+        check_sl_invariance((2, 4) if full else (2,), 50 if full else 10, seed + 9000, seed + 13),
+        check_performance(20 if full else 16, 8 if full else 4, seed + 14),
     ]
-    if full:
-        checks.append(_check_maxent_coherence(4, 100, seed))
-        checks.append(_check_amplitude_bound(4, 500, seed))
-        checks.append(_check_tangle_performance(20, 1.0))
-    return checks

@@ -111,6 +111,10 @@ def test_basis_set_rejects_bad_shape_and_qubit_count():
         BasisSet(0, np.eye(1))
     with pytest.raises(ValueError):
         BasisSet(MAX_STATE_QUBITS + 1, np.eye(2))
+    # dense bases share the operator cap, checked before the 2^n x 2^n allocation
+    for make in (lambda: BasisSet(13, np.eye(2)), lambda: magic_basis(14), lambda: product_biortho_basis(13)):
+        with pytest.raises(ValueError, match=r"\[1, 12\]"):
+            make()
 
 
 def test_computational_basis_is_not_biorthonormal():

@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from spinforms.bases import BasisSet, magic_basis
 from spinforms.cli import main
 from spinforms.core import basis_state, make_state
-from spinforms.files import read_basis, read_operator, read_state, write_operator, write_state
+from spinforms.files import (
+    read_basis,
+    read_operator,
+    read_state,
+    write_basis,
+    write_operator,
+    write_state,
+)
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -250,3 +258,19 @@ def test_tolerance_flags_are_honored(tmp_path, capsys):
     code, report = run(capsys, "basis", "check", out, "--tol-gram", "1e-30")
     assert code == 1
     assert report["verdicts"]["biorthonormal"] is False
+
+
+def test_tolerance_flags_belong_to_the_leaf_command(tmp_path, capsys):
+    # one column scaled by 1 + 1e-7: outside the default gram tolerance, inside 1e-3
+    mat = magic_basis(2).matrix().copy()
+    mat[:, 0] *= 1 + 1e-7
+    path = tmp_path / "bad.json"
+    write_basis(path, BasisSet(2, mat))
+    code, report = run(capsys, "basis", "check", path, "--tol-gram", "1e-3")
+    assert code == 0
+    assert report["verdicts"]["biorthonormal"] is True
+    # a flag before the subcommand, or on a command that reads none, is a usage error
+    for argv in (("basis", "--tol-gram", "1e-3", "check", path), ("selftest", "--tol-residual", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from spinforms.bases import (
     basis_from_orthogonal,
@@ -11,8 +13,12 @@ from spinforms.bases import (
     random_real_orthogonal,
     random_unitary_symplectic,
 )
-from spinforms.core import GlobalOperator, LocalOperatorList, random_sl2, random_state
+from spinforms.bases import BasisSet
+from spinforms.core import GlobalOperator, LocalOperatorList, PureState, random_sl2, random_state
 from spinforms.files import (
+    BASIS_FORMAT,
+    OPERATOR_FORMAT,
+    STATE_FORMAT,
     FileFormatError,
     read_basis,
     read_operator,
@@ -138,3 +144,50 @@ def test_basis_rejects_wrong_cardinality(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FileFormatError):
         read_basis(path)
+
+
+# JSON leaves: numbers a double holds, integers beyond the double range,
+# NaN and Infinity literals, and non-numbers
+finite_numbers = st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False))
+leaves = st.one_of(
+    finite_numbers,
+    st.integers(min_value=10**308, max_value=10**400),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+nested = st.recursive(leaves, lambda kids: st.lists(kids, max_size=4), max_leaves=12)  # ragged too
+READERS = {STATE_FORMAT: read_state, OPERATOR_FORMAT: read_operator, BASIS_FORMAT: read_basis}
+
+
+@st.composite
+def payloads(draw):
+    fmt = draw(st.sampled_from(sorted(READERS)))
+    kind = draw(st.sampled_from(["global", "local", "sparse"]))
+    n = draw(st.integers(1, 2) | st.integers(-1, 14) | st.sampled_from([True, None, 1.0, "1"]))
+    values = draw(nested)
+    if type(n) is int and 1 <= n <= 2 and draw(st.booleans()):
+        # the nested lists of [re, im] pairs the reader expects, with any leaves
+        dims = [1 << n] if fmt == STATE_FORMAT else [n, 2, 2] if kind == "local" else [1 << n, 1 << n]
+        values = st.lists(draw(st.sampled_from([finite_numbers, leaves])), min_size=2, max_size=2)
+        for d in reversed(dims):
+            values = st.lists(values, min_size=d, max_size=d)
+        values = draw(values)
+    ordering = draw(st.text(max_size=3) | st.integers())
+    return {"format": fmt, "n": n, "kind": kind, "ordering": ordering,
+            "amplitudes": values, "matrix": values, "factors": values, "vectors": values}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=payloads())
+@example(payload={"format": STATE_FORMAT, "n": 1, "amplitudes": [[10**400, 0], [0, 0]]})
+@example(payload={"format": OPERATOR_FORMAT, "n": 1, "kind": "local", "factors": [[[[1, 0], [0, 0]], [[0, 0], [True, 0]]]]})
+def test_readers_return_a_value_or_raise_file_format_error(tmp_path, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))  # NaN and Infinity become JSON literals
+    try:
+        value = READERS[payload["format"]](path)
+    except FileFormatError:
+        return
+    assert isinstance(value, (PureState, GlobalOperator, LocalOperatorList, BasisSet))

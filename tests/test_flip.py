@@ -8,6 +8,7 @@ from spinforms.core import (
     basis_state,
     expand_local,
     make_state,
+    random_operator,
     random_state,
 )
 from spinforms.flip import (
@@ -24,11 +25,6 @@ from spinforms.flip import (
 )
 
 S2 = 1.0 / np.sqrt(2.0)
-
-
-def rand_operator(rng, n):
-    dim = 1 << n
-    return GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def test_flip_single_qubit():
@@ -92,7 +88,7 @@ def test_flip_operator_identity():
 def test_flip_operator_matches_dense_conjugation():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
-        op = rand_operator(rng, n)
+        op = random_operator(n, rng)
         f = spin_flip_matrix(n)
         dense = f @ np.conj(op.mat) @ np.linalg.inv(f)
         np.testing.assert_allclose(flip_operator(op).mat, dense, atol=1e-12)
@@ -111,7 +107,7 @@ def test_flip_operator_algebra():
     rng = np.random.default_rng(12)
     n = 3
     for _ in range(20):
-        a, b = rand_operator(rng, n), rand_operator(rng, n)
+        a, b = random_operator(n, rng), random_operator(n, rng)
         psi = random_state(n, rng)
         bar_a, bar_b = flip_operator(a), flip_operator(b)
         # involution
