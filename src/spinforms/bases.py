@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import _I_POW, i_power, minus_i_power, parity_signs, popcount
+from .bits import _I_POW, bit_counts, i_power, minus_i_power, parity_signs
 from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _frozen_complex, _require_qubits
 from .flip import FormKind, flip_state
 
@@ -82,6 +82,19 @@ def canonical_j(dim: int) -> np.ndarray:
     return j
 
 
+def unitarity_defect(x: np.ndarray) -> float:
+    """||x^H x - I||_F: zero iff the square matrix x is unitary."""
+    return float(np.linalg.norm(x.conj().T @ x - np.eye(x.shape[0])))
+
+
+def form_defect(x: np.ndarray, kind: FormKind) -> float:
+    """||x^T T x - T||_F with T = I (orthogonal) or canonical J (symplectic): zero iff x is in the group."""
+    if kind is FormKind.ORTHOGONAL:
+        return float(np.linalg.norm(x.T @ x - np.eye(x.shape[0])))
+    j = canonical_j(x.shape[0])
+    return float(np.linalg.norm(x.T @ j @ x - j))
+
+
 def magic_basis(n: int) -> BasisSet:
     """Generalized magic basis for even n: 2^(n-1) complement pairs, two vectors each.
 
@@ -128,8 +141,13 @@ def product_biortho_basis(n: int) -> BasisSet:
     labels[0::2] = np.where(plus_first, k, comp)
     labels[1::2] = np.where(plus_first, comp, k)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[labels, np.arange(dim)] = np.asarray(_I_POW)[(n - popcount(labels)) % 4]
+    mat[labels, np.arange(dim)] = np.asarray(_I_POW)[(n - bit_counts(n)[labels]) % 4]
     return BasisSet(n, mat, PRODUCT_ORDERING)
+
+
+def canonical_basis(n: int) -> BasisSet:
+    """Parity-appropriate canonical bi-orthonormal basis."""
+    return magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
 
 
 def gram_pair(basis: BasisSet) -> GramPair:
@@ -183,27 +201,30 @@ def state_coefficients(basis: BasisSet, psi: PureState) -> np.ndarray:
     return basis.matrix().conj().T @ psi.amp
 
 
-def _basis_from_matrix(reference: BasisSet, mix: np.ndarray, ordering: str) -> BasisSet:
-    # new vector j = sum_l mix[j, l] * reference vector l
-    return BasisSet(reference.n, reference.matrix() @ mix.T, ordering)
+def _mix_canonical_basis(mix, kind: FormKind, tol: Tolerances, ordering: str) -> BasisSet:
+    # Rows of a unitary member of the form's group give a new bi-orthonormal basis:
+    # new vector j = sum_l mix[j, l] * canonical vector l.
+    mix = np.asarray(mix, dtype=np.complex128)
+    if mix.ndim != 2 or mix.shape[0] != mix.shape[1]:
+        raise ValueError("expected a square matrix")
+    dim = mix.shape[0]
+    n = dim.bit_length() - 1
+    if 1 << n != dim or FormKind.for_qubits(n) is not kind:
+        raise ValueError(f"dimension must be 2^n with n {'even' if kind is FormKind.ORTHOGONAL else 'odd'}")
+    canonical = canonical_basis(n)  # checks the qubit cap before the O(dim^3) products
+    unit, form = unitarity_defect(mix), form_defect(mix, kind)
+    if unit > tol.tol_residual or form > tol.tol_residual:
+        raise ValueError(
+            f"mixing matrix is not unitary {kind.value} (unitarity defect {unit:.3e}, form defect {form:.3e})"
+        )
+    if kind is FormKind.ORTHOGONAL:
+        mix = mix.real.astype(np.complex128)  # unitary and complex orthogonal means real
+    return BasisSet(n, canonical.matrix() @ mix.T, ordering)
 
 
 def basis_from_orthogonal(o: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:
     """Mix the magic basis by a real orthogonal matrix (rows give the new vectors)."""
-    o = np.asarray(o)
-    if o.ndim != 2 or o.shape[0] != o.shape[1]:
-        raise ValueError("expected a square matrix")
-    dim = o.shape[0]
-    n = dim.bit_length() - 1
-    if 1 << n != dim or n % 2 != 0:
-        raise ValueError("dimension must be 2^n with n even")
-    if np.iscomplexobj(o) and np.max(np.abs(o.imag)) > tol.tol_residual:
-        raise ValueError("mixing matrix must be real")
-    o = np.real(o).astype(float)
-    defect = np.linalg.norm(o.T @ o - np.eye(dim))
-    if defect > tol.tol_residual:
-        raise ValueError(f"mixing matrix is not orthogonal (residual {defect:.3e})")
-    return _basis_from_matrix(magic_basis(n), o.astype(np.complex128), "magic basis mixed by real orthogonal matrix")
+    return _mix_canonical_basis(o, FormKind.ORTHOGONAL, tol, "magic basis mixed by real orthogonal matrix")
 
 
 def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -218,8 +239,8 @@ def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     _require_biorthonormal(basis, tol)
     coeff = (magic_basis(basis.n).matrix().conj().T @ basis.matrix()).T
     imag_max = float(np.max(np.abs(coeff.imag)))
-    defect = float(np.linalg.norm(coeff @ coeff.T - np.eye(basis.dim)))
-    if imag_max > tol.tol_residual or abs(defect) > tol.tol_residual:
+    defect = form_defect(coeff.T, FormKind.ORTHOGONAL)  # C C^T - I
+    if imag_max > tol.tol_residual or defect > tol.tol_residual:
         raise RuntimeError(
             "bi-orthonormal basis decomposed to a non-real-orthogonal matrix "
             f"(imag {imag_max:.3e}, orthogonality defect {defect:.3e}); this should be impossible"
@@ -257,31 +278,9 @@ def random_unitary_symplectic(dim: int, seed: int) -> np.ndarray:
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
-def unitary_symplectic_residuals(s: np.ndarray) -> tuple[float, float]:
-    """(unitarity residual, symplecticity residual) of a square matrix."""
-    s = np.asarray(s, dtype=np.complex128)
-    dim = s.shape[0]
-    j = canonical_j(dim)
-    unit = float(np.linalg.norm(s.conj().T @ s - np.eye(dim)))
-    sympl = float(np.linalg.norm(s.T @ j @ s - j))
-    return unit, sympl
-
-
 def basis_from_unitary_symplectic(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:
-    """Mix the product bi-orthonormal basis by a unitary-symplectic matrix."""
-    s = np.asarray(s, dtype=np.complex128)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("expected a square matrix")
-    dim = s.shape[0]
-    n = dim.bit_length() - 1
-    if 1 << n != dim or n % 2 != 1:
-        raise ValueError("dimension must be 2^n with n odd")
-    unit, sympl = unitary_symplectic_residuals(s)
-    if unit > tol.tol_residual:
-        raise ValueError(f"mixing matrix is not unitary (residual {unit:.3e})")
-    if sympl > tol.tol_residual:
-        raise ValueError(f"mixing matrix is not symplectic (residual {sympl:.3e})")
-    return _basis_from_matrix(product_biortho_basis(n), s, "product basis mixed by unitary-symplectic matrix")
+    """Mix the product bi-orthonormal basis by a unitary-symplectic matrix (rows give the new vectors)."""
+    return _mix_canonical_basis(s, FormKind.SYMPLECTIC, tol, "product basis mixed by unitary-symplectic matrix")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ import numpy as np
 # rounding error.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
 
 def i_power(m: int) -> complex:
     """i**m, exact, via mod-4 lookup."""
@@ -24,21 +22,29 @@ def minus_i_power(m: int) -> complex:
     return _I_POW[(-m) % 4]
 
 
-def popcount(values) -> np.ndarray:
-    """Set-bit count of nonnegative integers below 2**32."""
-    x = np.asarray(values, dtype=np.uint32)
-    return (_POPCOUNT16[x & np.uint32(0xFFFF)] + _POPCOUNT16[x >> np.uint32(16)]).astype(np.int64)
-
-
 def parity_signs(n: int) -> np.ndarray:
-    """(-1)**popcount(k) for every flat index k in [0, 2**n)."""
-    k = np.arange(1 << n, dtype=np.uint32)
-    return 1.0 - 2.0 * (popcount(k) & 1)
+    """(-1)**popcount(k) for every flat index k in [0, 2**n), built one qubit at a time.
+
+    For h a power of two, index h + k (k < h) has one more set bit than k,
+    so each doubling appends the negated prefix.
+    """
+    signs = np.empty(1 << n)
+    signs[0] = 1.0
+    h = 1
+    while h < signs.size:
+        np.negative(signs[:h], out=signs[h : 2 * h])
+        h *= 2
+    return signs
 
 
-def complement(k, n: int):
-    """Bitwise complement within n bits: every qubit label flipped."""
-    return ((1 << n) - 1) ^ k
+def bit_counts(n: int) -> np.ndarray:
+    """popcount(k) for every flat index k in [0, 2**n), by the same doubling as parity_signs."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    h = 1
+    while h < counts.size:
+        np.add(counts[:h], 1, out=counts[h : 2 * h])
+        h *= 2
+    return counts
 
 
 def index_to_bits(k: int, n: int) -> tuple[int, ...]:

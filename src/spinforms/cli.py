@@ -1,7 +1,8 @@
 """Command-line front-end: state/operator/basis files in, JSON reports out.
 
 Reports go to standard output; files are written only via --out.  Exit codes:
-0 all verdicts pass, 1 a verdict failed, 2 usage or file-format error.
+0 all verdicts pass, 1 a verdict failed, 2 any other failure (usage, file
+format, or an internal error), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from . import __version__
 from .bases import (
     basis_from_orthogonal,
     basis_from_unitary_symplectic,
+    canonical_basis,
     check_biorthonormal,
+    form_defect,
     magic_basis,
     product_biortho_basis,
     random_real_orthogonal,
@@ -31,7 +34,7 @@ from .core import (
     random_sl2,
     random_su2,
 )
-from .entanglement import _as_normalized, is_maximally_entangled, maxent_generate, tangle
+from .entanglement import _as_normalized, _require_maxent_qubits, is_maximally_entangled, maxent_generate, tangle
 from .files import (
     REPORT_FORMAT,
     FileFormatError,
@@ -49,13 +52,7 @@ from .flip import (
     flip_state,
     flip_state_dense,
 )
-from .groups import (
-    SLOCC_NOTE,
-    _form_defect,
-    canonical_basis,
-    classify_operator,
-    represent_in_basis,
-)
+from .groups import SLOCC_NOTE, classify_operator, represent_in_basis
 from .selftest import run_selftest
 
 
@@ -203,7 +200,7 @@ def _cmd_op(args) -> int:
     basis = read_basis(args.basis_file) if args.basis_file else canonical_basis(as_global.n)
     r = represent_in_basis(as_global, basis, tol)
     kind = FormKind.for_qubits(as_global.n)
-    defect = _form_defect(r, kind)
+    defect = form_defect(r, kind)
     if args.out:
         write_operator(args.out, GlobalOperator(as_global.n, r))
     return _emit(
@@ -231,6 +228,7 @@ def _cmd_maxent(args) -> int:
         )
 
     # generate
+    _require_maxent_qubits(args.n)  # before drawing 2^n coefficients
     if args.nu is not None:
         nu = np.array([float(x) for x in args.nu.split(",")])
     else:
@@ -350,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of this program, not a failed verdict (exit 1)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

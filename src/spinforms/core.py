@@ -110,9 +110,6 @@ class LocalOperatorList:
 
 def make_state(n: int, amp: Sequence[complex]) -> PureState:
     """Wrap raw amplitudes as an ``n``-qubit state.  No normalization is applied."""
-    amp = np.asarray(amp, dtype=np.complex128)
-    if amp.shape != (1 << n,):
-        raise ValueError(f"amplitude vector must have length {1 << n} for n={n}, got {amp.shape}")
     return PureState(n, amp)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, magic_basis, representative_labels, state_coefficients
-from .core import DEFAULT_TOL, PureState, Tolerances
+from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _require_qubits
 from .flip import bilinear_form, flip_state
 
 
@@ -221,13 +221,19 @@ def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Max
     )
 
 
+def _require_maxent_qubits(n: int) -> None:
+    """Raise ValueError unless maxent_generate accepts ``n``: even, and within the dense-basis cap."""
+    if n % 2 != 0:
+        raise ValueError("maximally entangled states require an even qubit count")
+    _require_qubits(n, MAX_OPERATOR_QUBITS)
+
+
 def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> PureState:
     """Maximally entangled state e^{i theta} sum_l nu_l e_l over the magic basis.
 
     ``nu`` must be real with unit square sum.
     """
-    if n % 2 != 0:
-        raise ValueError("maximally entangled states require an even qubit count")
+    _require_maxent_qubits(n)
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (1 << n,):
         raise ValueError(f"nu must have length {1 << n} for n={n}, got {nu.shape}")

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (
-    BasisSet,
-    _require_biorthonormal,
-    canonical_j,
-    magic_basis,
-    product_biortho_basis,
-)
+from .bases import BasisSet, _require_biorthonormal, canonical_basis, form_defect, unitarity_defect
 from .core import (
     DEFAULT_TOL,
     GlobalOperator,
@@ -108,19 +102,6 @@ def represent_in_basis(
     return _represent(op, basis)
 
 
-def _form_defect(r: np.ndarray, kind: FormKind) -> float:
-    dim = r.shape[0]
-    if kind is FormKind.ORTHOGONAL:
-        return float(np.linalg.norm(r.T @ r - np.eye(dim)))
-    j = canonical_j(dim)
-    return float(np.linalg.norm(r.T @ j @ r - j))
-
-
-def canonical_basis(n: int) -> BasisSet:
-    """Parity-appropriate canonical bi-orthonormal basis."""
-    return magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
-
-
 def _renormalized_sl2(local: LocalOperatorList, tol: Tolerances) -> LocalOperatorList:
     ops = []
     for a in local.ops:
@@ -163,7 +144,7 @@ def homomorphism_check(
     _require_biorthonormal(basis, tol)
     kind = FormKind.for_qubits(n)
     r = _represent(expand_local(local), basis)
-    form_residual = _form_defect(r, kind)
+    form_residual = form_defect(r, kind)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -234,7 +215,7 @@ def classify_operator(
     if isinstance(op, LocalOperatorList):
         dets = tuple(complex(np.linalg.det(a)) for a in op.ops)
         op = expand_local(op)
-    unitary_residual = float(np.linalg.norm(op.mat.conj().T @ op.mat - np.eye(op.dim)))
+    unitary_residual = unitarity_defect(op.mat)
     preservation = is_form_preserving(op, tol)
     rep = _represent(op, canonical_basis(op.n))
     return OperatorClassReport(
@@ -242,6 +223,6 @@ def classify_operator(
         unitary_residual=unitary_residual,
         is_form_preserving=preservation.passed,
         form_residual=preservation.residual,
-        basis_rep_residual=_form_defect(rep, FormKind.for_qubits(op.n)),
+        basis_rep_residual=form_defect(rep, FormKind.for_qubits(op.n)),
         dets=dets,
     )

@@ -228,7 +228,7 @@ def check_odd_homomorphism(
     for i in range(one_qubit_draws):
         local = core.LocalOperatorList((core.random_sl2(one_qubit_seed + i),))
         r = groups.represent_in_basis(core.expand_local(local), basis)
-        one_qubit = max(one_qubit, groups._form_defect(r, flip.FormKind.SYMPLECTIC))
+        one_qubit = max(one_qubit, bases.form_defect(r, flip.FormKind.SYMPLECTIC))
     return CheckResult(
         "odd-homomorphism",
         worst_form <= tol and worst_mult <= tol and one_qubit <= tol,

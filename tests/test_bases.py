@@ -8,6 +8,7 @@ from spinforms.bases import (
     canonical_j,
     check_biorthonormal,
     decompose_basis,
+    form_defect,
     gram_pair,
     magic_basis,
     product_biortho_basis,
@@ -16,7 +17,7 @@ from spinforms.bases import (
     representative_labels,
     self_conjugacy_coefficient_check,
     state_coefficients,
-    unitary_symplectic_residuals,
+    unitarity_defect,
 )
 from spinforms.core import (
     MAX_STATE_QUBITS,
@@ -27,7 +28,7 @@ from spinforms.core import (
     make_state,
     random_su2,
 )
-from spinforms.flip import flip_state
+from spinforms.flip import FormKind, flip_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -175,12 +176,38 @@ def test_random_real_orthogonal():
     assert np.linalg.norm(o.T @ o - np.eye(6)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitarity_defect(n):
+    dim = 1 << n
+    assert unitarity_defect(np.eye(dim)) == 0.0
+    assert unitarity_defect(canonical_j(dim)) == 0.0
+    assert unitarity_defect(1j * np.eye(dim)) == 0.0
+    # symplectic but not unitary: x^H x - I = diag(3, -3/4) on each pair
+    stretch = np.diag([2.0, 0.5] * (dim // 2))
+    assert unitarity_defect(stretch) == pytest.approx(np.sqrt(dim // 2 * (3.0**2 + 0.75**2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_form_defect(n):
+    dim = 1 << n
+    kind = FormKind.for_qubits(n)
+    other = FormKind.SYMPLECTIC if kind is FormKind.ORTHOGONAL else FormKind.ORTHOGONAL
+    assert form_defect(np.eye(dim), kind) == 0.0
+    assert form_defect(canonical_j(dim), kind) == 0.0  # J is orthogonal and symplectic
+    # each non-member belongs to the other group
+    if kind is FormKind.ORTHOGONAL:
+        x, want = np.diag([2.0, 0.5] * (dim // 2)), np.sqrt(dim // 2 * (3.0**2 + 0.75**2))
+    else:
+        x, want = np.diag([1.0, -1.0] * (dim // 2)), 2.0 * np.sqrt(dim)  # x^T J x = -J
+    assert form_defect(x, kind) == pytest.approx(want)
+    assert form_defect(x, other) == 0.0
+
+
 def test_random_unitary_symplectic_membership():
     for dim, seed in ((2, 0), (8, 1), (32, 2)):
         s = random_unitary_symplectic(dim, seed)
-        unit, sympl = unitary_symplectic_residuals(s)
-        assert unit <= 1e-12
-        assert sympl <= 1e-12
+        assert unitarity_defect(s) <= 1e-12
+        assert form_defect(s, FormKind.SYMPLECTIC) <= 1e-12
     # dim 2: unitary + symplectic = SU(2)
     s = random_unitary_symplectic(2, 5)
     assert abs(np.linalg.det(s) - 1.0) <= 1e-12
@@ -222,9 +249,8 @@ def test_biortho_bases_decompose_to_unitary_symplectic():
     rotated = rotation.mat @ basis.matrix()
     assert check_biorthonormal(BasisSet(n, rotated)).passed
     mix = (basis.matrix().conj().T @ rotated).T
-    unit, sympl = unitary_symplectic_residuals(mix)
-    assert unit <= 1e-12
-    assert sympl <= 1e-12
+    assert unitarity_defect(mix) <= 1e-12
+    assert form_defect(mix, FormKind.SYMPLECTIC) <= 1e-12
 
 
 def test_state_coefficients_reconstruct():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from spinforms.bits import (
+    bit_counts,
     bits_to_index,
-    complement,
     i_power,
     index_to_bits,
     minus_i_power,
     parity_signs,
-    popcount,
 )
 
 
@@ -31,23 +30,18 @@ def test_index_out_of_range():
         bits_to_index((0, 2, 1))
 
 
-def test_popcount_matches_python():
-    rng = np.random.default_rng(0)
-    vals = np.concatenate([[0, 1, 0xFFFF, 0x10000, (1 << 24) - 1], rng.integers(0, 1 << 24, 200)])
-    got = popcount(vals)
-    want = [bin(int(v)).count("1") for v in vals]
-    assert list(got) == want
+@pytest.mark.parametrize("n", range(17))
+def test_bit_counts_and_parity_signs_match_python(n):
+    want = np.array([bin(k).count("1") for k in range(1 << n)])
+    np.testing.assert_array_equal(bit_counts(n), want)
+    signs = parity_signs(n)
+    assert signs.dtype == np.float64
+    np.testing.assert_array_equal(signs, 1.0 - 2.0 * (want % 2))
 
 
 def test_parity_signs():
     signs = parity_signs(3)
     assert list(signs) == [1, -1, -1, 1, -1, 1, 1, -1]
-
-
-def test_complement():
-    assert complement(0, 3) == 7
-    assert complement(0b101, 3) == 0b010
-    np.testing.assert_array_equal(complement(np.arange(4), 2), [3, 2, 1, 0])
 
 
 def test_power_lookups_exact():

@@ -228,6 +228,17 @@ def test_maxent_generate_unnormalized_nu_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", [13, 14, 40])
+def test_maxent_generate_rejects_n_before_drawing(tmp_path, capsys, monkeypatch, n):
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
+    code = main(["maxent", "generate", "-n", str(n), "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert draws == []
+    assert capsys.readouterr().err.startswith("error: qubit count" if n % 2 == 0 else "error: maximally")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_maxent_generate_explicit_nu(tmp_path, capsys):
     out = tmp_path / "m.json"
     code, _ = run(capsys, "maxent", "generate", "-n", 2, "--nu", "0.6,0.8,0,0", "--out", out)
@@ -274,3 +285,18 @@ def test_tolerance_flags_belong_to_the_leaf_command(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("kernel broke"), MemoryError("out of memory")])
+def test_unexpected_exception_exits_2_without_traceback(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr("spinforms.cli.tangle", fail)
+    path = tmp_path / "s.json"
+    write_state(path, basis_state(2, 0))
+    code = main(["tangle", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
