@@ -11,15 +11,17 @@ unitary-symplectic mix of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .bits import _I_POW, bit_counts, i_power, minus_i_power, parity_signs
+from .bits import i_power, minus_i_power, parity_signs
 from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _frozen_complex, _require_qubits
 from .flip import FormKind, flip_state
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
+_S2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -49,26 +51,12 @@ class BasisSet:
 
 
 @dataclass(frozen=True)
-class GramPair:
-    """Both Gram matrices of a vector set: Hilbert and spin-flip form."""
-
-    hilbert_gram: np.ndarray
-    form_gram: np.ndarray
-
-
-@dataclass(frozen=True)
 class BiorthoReport:
     passed: bool
     hilbert_residual: float
     form_residual: float
     form_target: str
     kind: FormKind
-    grams: GramPair
-
-
-def representative_labels(n: int) -> np.ndarray:
-    """Flat indices k with k < ~k (top bit 0): one per complement pair."""
-    return np.arange(1 << (n - 1))
 
 
 def canonical_j(dim: int) -> np.ndarray:
@@ -95,6 +83,63 @@ def form_defect(x: np.ndarray, kind: FormKind) -> float:
     return float(np.linalg.norm(x.T @ j @ x - j))
 
 
+def _magic_phases(n: int) -> np.ndarray:
+    """(-1)^popcount(k) * i^n for the representatives k < 2^(n-1), as a column; real, since n is even."""
+    return (parity_signs(n - 1) * i_power(n).real)[:, None]
+
+
+def canonical_synthesize(n: int, coeffs) -> np.ndarray:
+    """sum_l coeffs[l] * (canonical basis vector l), along axis 0, in O(2^n) per column.
+
+    The canonical basis is magic_basis(n) for even n, a butterfly on each
+    complement pair (k, ~k), and product_biortho_basis(n) for odd n, a
+    permutation followed by a phase.  The output is written in place, with
+    at most one half-size temporary; real input is never copied to complex.
+    """
+    coeffs = np.asarray(coeffs)
+    dim, h = 1 << n, 1 << (n - 1)
+    if coeffs.shape[:1] != (dim,):
+        raise ValueError(f"expected {dim} coefficients along axis 0 for n={n}, got shape {coeffs.shape}")
+    flat = coeffs.reshape(dim, -1)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    if n % 2 == 1:
+        pairs = np.stack([np.arange(h), np.arange(dim - 1, h - 1, -1)], axis=1)  # (k, ~k)
+        plus_first = (parity_signs(n - 1) > 0)[:, None]
+        out[np.where(plus_first, pairs, pairs[:, ::-1]).ravel()] = flat
+        # i^(number of zeros in the label): the Kronecker product of [i, 1] per qubit, exact
+        out *= reduce(lambda a, b: np.outer(a, b).ravel(), [np.array([1j, 1.0])] * n)[:, None]
+    else:
+        top, bottom = out[:h], out[::-1][:h]  # bottom[k] is row ~k
+        i_odd = 1j * flat[1::2]
+        np.add(flat[0::2], i_odd, out=top)
+        np.subtract(flat[0::2], i_odd, out=bottom)
+        top *= _S2
+        bottom *= _magic_phases(n) * _S2
+    return out.reshape(coeffs.shape)
+
+
+def magic_coefficients(amp) -> np.ndarray:
+    """Coefficients over magic_basis(n) along axis 0 (length 2^n, n even): the inverse butterfly.
+
+    With c_k the phase of magic_basis, coefficient 2k is (psi_k + c_k psi_~k) / sqrt(2)
+    and coefficient 2k+1 is -i (psi_k - c_k psi_~k) / sqrt(2); O(2^n) per column.
+    """
+    amp = np.asarray(amp)
+    dim = amp.shape[0]
+    n, h = dim.bit_length() - 1, dim // 2
+    if n < 2 or n % 2 != 0 or dim != 1 << n:
+        raise ValueError(f"magic coefficients need 2^n amplitudes with n even, got {dim}")
+    flat = amp.reshape(dim, -1)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    plus, minus = out[0::2], out[1::2]
+    reflected = flat[::-1][:h] * _magic_phases(n)
+    np.add(flat[:h], reflected, out=plus)
+    np.subtract(flat[:h], reflected, out=minus)
+    plus *= _S2
+    minus *= -1j * _S2
+    return out.reshape(amp.shape)
+
+
 def magic_basis(n: int) -> BasisSet:
     """Generalized magic basis for even n: 2^(n-1) complement pairs, two vectors each.
 
@@ -108,18 +153,7 @@ def magic_basis(n: int) -> BasisSet:
     """
     if n % 2 != 0:
         raise ValueError("the magic basis requires an even qubit count")
-    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
-    dim = 1 << n
-    s2 = 1.0 / np.sqrt(2.0)
-    k = representative_labels(n)
-    comp = dim - 1 - k
-    c = parity_signs(n - 1) * i_power(n)  # representatives are exactly the indices below 2^(n-1)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[k, 2 * k] = s2
-    mat[comp, 2 * k] = c * s2
-    mat[k, 2 * k + 1] = 1j * s2
-    mat[comp, 2 * k + 1] = -1j * c * s2
-    return BasisSet(n, mat, MAGIC_ORDERING)
+    return canonical_basis(n)
 
 
 def product_biortho_basis(n: int) -> BasisSet:
@@ -132,31 +166,22 @@ def product_biortho_basis(n: int) -> BasisSet:
     """
     if n % 2 != 1:
         raise ValueError("the product bi-orthonormal basis requires an odd qubit count")
-    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
-    dim = 1 << n
-    k = representative_labels(n)
-    comp = dim - 1 - k
-    plus_first = parity_signs(n - 1) > 0
-    labels = np.empty(dim, dtype=np.int64)
-    labels[0::2] = np.where(plus_first, k, comp)
-    labels[1::2] = np.where(plus_first, comp, k)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[labels, np.arange(dim)] = np.asarray(_I_POW)[(n - bit_counts(n)[labels]) % 4]
-    return BasisSet(n, mat, PRODUCT_ORDERING)
+    return canonical_basis(n)
 
 
 def canonical_basis(n: int) -> BasisSet:
-    """Parity-appropriate canonical bi-orthonormal basis."""
-    return magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
+    """Parity-appropriate canonical bi-orthonormal basis: canonical_synthesize applied to the identity."""
+    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
+    ordering = MAGIC_ORDERING if n % 2 == 0 else PRODUCT_ORDERING
+    # a bool identity: one byte per entry next to the 16-byte output
+    return BasisSet(n, canonical_synthesize(n, np.eye(1 << n, dtype=bool)), ordering)
 
 
-def gram_pair(basis: BasisSet) -> GramPair:
-    """Hilbert and form Gram matrices of a basis (no verdict)."""
+def gram_pair(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
+    """(Hilbert Gram, form Gram) of a basis (no verdict)."""
     v = basis.matrix()
-    hilbert = v.conj().T @ v
     weighted = parity_signs(basis.n)[:, None] * v[::-1, :]
-    form = v.T @ weighted * minus_i_power(basis.n)
-    return GramPair(hilbert_gram=hilbert, form_gram=form)
+    return v.conj().T @ v, v.T @ weighted * minus_i_power(basis.n)
 
 
 def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> BiorthoReport:
@@ -166,22 +191,21 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     identity (even n) or the canonical block J (odd n) in the basis's given
     order, both within tol_gram.
     """
-    grams = gram_pair(basis)
+    hilbert, form = gram_pair(basis)
     dim = basis.dim
     kind = FormKind.for_qubits(basis.n)
     if kind is FormKind.ORTHOGONAL:
         target, target_name = np.eye(dim), "identity"
     else:
         target, target_name = canonical_j(dim), "canonical J"
-    h_resid = float(np.linalg.norm(grams.hilbert_gram - np.eye(dim)))
-    f_resid = float(np.linalg.norm(grams.form_gram - target))
+    h_resid = float(np.linalg.norm(hilbert - np.eye(dim)))
+    f_resid = float(np.linalg.norm(form - target))
     return BiorthoReport(
         passed=h_resid <= tol.tol_gram and f_resid <= tol.tol_gram,
         hilbert_residual=h_resid,
         form_residual=f_resid,
         form_target=target_name,
         kind=kind,
-        grams=grams,
     )
 
 
@@ -204,22 +228,23 @@ def state_coefficients(basis: BasisSet, psi: PureState) -> np.ndarray:
 def _mix_canonical_basis(mix, kind: FormKind, tol: Tolerances, ordering: str) -> BasisSet:
     # Rows of a unitary member of the form's group give a new bi-orthonormal basis:
     # new vector j = sum_l mix[j, l] * canonical vector l.
-    mix = np.asarray(mix, dtype=np.complex128)
+    # real input stays real, so the membership products run in real arithmetic
+    mix = np.asarray(mix, dtype=np.complex128 if np.iscomplexobj(mix) else np.float64)
     if mix.ndim != 2 or mix.shape[0] != mix.shape[1]:
         raise ValueError("expected a square matrix")
     dim = mix.shape[0]
     n = dim.bit_length() - 1
     if 1 << n != dim or FormKind.for_qubits(n) is not kind:
         raise ValueError(f"dimension must be 2^n with n {'even' if kind is FormKind.ORTHOGONAL else 'odd'}")
-    canonical = canonical_basis(n)  # checks the qubit cap before the O(dim^3) products
+    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the O(dim^3) products
     unit, form = unitarity_defect(mix), form_defect(mix, kind)
     if unit > tol.tol_residual or form > tol.tol_residual:
         raise ValueError(
             f"mixing matrix is not unitary {kind.value} (unitarity defect {unit:.3e}, form defect {form:.3e})"
         )
     if kind is FormKind.ORTHOGONAL:
-        mix = mix.real.astype(np.complex128)  # unitary and complex orthogonal means real
-    return BasisSet(n, canonical.matrix() @ mix.T, ordering)
+        mix = mix.real  # unitary and complex orthogonal means real
+    return BasisSet(n, canonical_synthesize(n, mix.T), ordering)
 
 
 def basis_from_orthogonal(o: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:
@@ -237,7 +262,7 @@ def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     if basis.n % 2 != 0:
         raise ValueError("magic-basis decomposition requires an even qubit count")
     _require_biorthonormal(basis, tol)
-    coeff = (magic_basis(basis.n).matrix().conj().T @ basis.matrix()).T
+    coeff = magic_coefficients(basis.matrix()).T
     imag_max = float(np.max(np.abs(coeff.imag)))
     defect = form_defect(coeff.T, FormKind.ORTHOGONAL)  # C C^T - I
     if imag_max > tol.tol_residual or defect > tol.tol_residual:

@@ -37,16 +37,6 @@ def parity_signs(n: int) -> np.ndarray:
     return signs
 
 
-def bit_counts(n: int) -> np.ndarray:
-    """popcount(k) for every flat index k in [0, 2**n), by the same doubling as parity_signs."""
-    counts = np.zeros(1 << n, dtype=np.int64)
-    h = 1
-    while h < counts.size:
-        np.add(counts[:h], 1, out=counts[h : 2 * h])
-        h *= 2
-    return counts
-
-
 def index_to_bits(k: int, n: int) -> tuple[int, ...]:
     """Bit label (j_1, ..., j_n) of flat index k; j_1 is the most significant bit."""
     if not 0 <= k < (1 << n):

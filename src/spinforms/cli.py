@@ -27,9 +27,11 @@ from .bases import (
     random_unitary_symplectic,
 )
 from .core import (
+    MAX_OPERATOR_QUBITS,
     GlobalOperator,
     LocalOperatorList,
     Tolerances,
+    _require_qubits,
     expand_local,
     random_sl2,
     random_su2,
@@ -139,6 +141,7 @@ def _cmd_basis(args) -> int:
             values={"n": basis.n, "form_target": report.form_target},
         )
 
+    _require_qubits(args.n, MAX_OPERATOR_QUBITS)  # before drawing a 2^n x 2^n mix
     seed = getattr(args, "seed", None)
     if args.subcommand == "magic":
         basis = magic_basis(args.n)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, _require_biorthonormal, magic_basis, representative_labels, state_coefficients
-from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _require_qubits
+from .bases import BasisSet, _require_biorthonormal, canonical_synthesize, magic_coefficients, state_coefficients
+from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _require_qubits
 from .flip import bilinear_form, flip_state
 
 
@@ -42,13 +42,6 @@ def tangle(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> float:
     """
     psi = _as_normalized(psi, tol)
     return abs(bilinear_form(psi, psi).value)
-
-
-def concurrence_2q(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Two-qubit concurrence; the n = 2 specialization of the tangle."""
-    if psi.n != 2:
-        raise ValueError(f"concurrence is defined for 2 qubits, got {psi.n}")
-    return tangle(psi, tol)
 
 
 def tangle_from_coefficients(coeffs) -> float:
@@ -91,16 +84,14 @@ class TangleResult:
 
 
 def tangle_result(psi: PureState, basis: BasisSet | None = None, tol: Tolerances = DEFAULT_TOL) -> TangleResult:
-    """Tangle plus the polygon of its coefficient expansion (even n only)."""
+    """Tangle plus the polygon of its coefficient expansion (even n only); no basis means the magic basis."""
     if psi.n % 2 != 0:
         raise ValueError("the coefficient view of the tangle requires an even qubit count")
     psi = _as_normalized(psi, tol)
     if basis is None:
-        basis = magic_basis(psi.n)
-        label = "magic"
+        c, label = magic_coefficients(psi.amp), "magic"
     else:
-        label = basis.ordering or "custom"
-    c = state_coefficients(basis, psi)
+        c, label = state_coefficients(basis, psi), basis.ordering or "custom"
     return TangleResult(value=tangle(psi, tol), polygon=polygon(c), basis_used=label)
 
 
@@ -143,7 +134,9 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     Searches for a global phase theta (half the argument of the quadratic
     form; theta and theta+pi are interchangeable) such that the rotated
     state is fixed by the spin flip and carries half its weight on the
-    representative half of the index range.
+    representative half of the index range.  The relation residual is the
+    2-norm ||flip(rotated) - rotated||, which is twice the phase residual of
+    is_maximally_entangled, so it is judged against 2 * tol_residual.
     """
     if psi.n % 2 != 0:
         raise ValueError("maximal-entanglement checks require an even qubit count")
@@ -153,12 +146,11 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     # has form 1); residuals are then reported at zero phase
     theta = float(np.angle(form) / 2.0) if form != 0 else None
     rotated = PureState(psi.n, np.exp(-1j * theta) * psi.amp) if theta is not None else psi
-    relation_residual = float(np.max(np.abs(flip_state(rotated).amp - rotated.amp)))
-    reps = representative_labels(psi.n)
-    half_sum_gap = float(abs(np.sum(np.abs(rotated.amp[reps]) ** 2) - 0.5))
+    relation_residual = float(np.linalg.norm(flip_state(rotated).amp - rotated.amp))
+    half_sum_gap = float(abs(np.sum(np.abs(rotated.amp[: psi.dim // 2]) ** 2) - 0.5))
     passed = (
         theta is not None
-        and relation_residual <= tol.tol_residual
+        and relation_residual <= 2 * tol.tol_residual
         and half_sum_gap <= tol.tol_residual
     )
     return StructureReport(
@@ -178,41 +170,33 @@ class MaxEntReport:
 
 
 def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> MaxEntReport:
-    """Evaluate the three equivalent maximal-entanglement conditions independently.
+    """Judge maximal entanglement on one scale, with the structural criterion as a cross-check.
 
-    (1) tangle equals 1; (2) some global phase makes all magic-basis
-    coefficients real with unit square sum; (3) the structural
-    computational-basis condition.  The verdict is condition (1).
-
-    ``criteria_agree`` reports whether all three verdicts match.  Near
-    maximal entanglement they can differ on valid input: the tangle gap is
-    quadratic in the distance to the nearest maximally entangled state,
-    while the phase and structure residuals are linear in it, and all three
-    are judged against tol_residual.
+    With magic-basis coefficients c and theta = arg(sum c^2) / 2, write
+    e^{-i theta} c = x + i y with x, y real.  Then x . y = 0, so
+    tangle = 1 - 2 ||y||^2, and the structural residual of
+    maxent_structure_check is 2 ||y||.  The verdict is
+    d = ||y|| <= tol_residual, reported as ``phase_residual``;
+    ``tangle_gap`` (= 2 d^2) is data only, and ``criteria_agree`` says
+    whether the structural verdict matches.
     """
     if psi.n % 2 != 0:
         raise ValueError("maximal-entanglement checks require an even qubit count")
     psi = _as_normalized(psi, tol)
 
     tangle_gap = abs(tangle(psi, tol) - 1.0)
-    cond1 = tangle_gap <= tol.tol_residual
-
-    c = state_coefficients(magic_basis(psi.n), psi)
+    c = magic_coefficients(psi.amp)
     form = complex(np.sum(c * c))
     theta = float(np.angle(form) / 2.0) if form != 0 else None
     rotated = c * np.exp(-1j * theta) if theta is not None else c
     nu = rotated.real
-    phase_residual = max(
-        float(np.max(np.abs(rotated.imag))), float(abs(np.sum(nu * nu) - 1.0))
-    )
-    cond2 = theta is not None and phase_residual <= tol.tol_residual
+    phase_residual = float(np.linalg.norm(rotated.imag))
+    passed = theta is not None and phase_residual <= tol.tol_residual
 
     structure = maxent_structure_check(psi, tol)
-
-    passed = cond1
     return MaxEntReport(
         passed=passed,
-        criteria_agree=cond1 == cond2 == structure.passed,
+        criteria_agree=passed == structure.passed,
         tangle_gap=tangle_gap,
         phase_residual=phase_residual,
         structure_residual=structure.relation_residual,
@@ -222,10 +206,10 @@ def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Max
 
 
 def _require_maxent_qubits(n: int) -> None:
-    """Raise ValueError unless maxent_generate accepts ``n``: even, and within the dense-basis cap."""
+    """Raise ValueError unless maxent_generate accepts ``n``: even, and within the state cap."""
     if n % 2 != 0:
         raise ValueError("maximally entangled states require an even qubit count")
-    _require_qubits(n, MAX_OPERATOR_QUBITS)
+    _require_qubits(n, MAX_STATE_QUBITS)
 
 
 def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> PureState:
@@ -239,5 +223,6 @@ def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> 
         raise ValueError(f"nu must have length {1 << n} for n={n}, got {nu.shape}")
     if abs(float(np.sum(nu * nu)) - 1.0) > tol.tol_norm:
         raise ValueError(f"nu must have unit square sum, got {float(np.sum(nu * nu)):.12g}")
-    amp = np.exp(1j * theta) * (magic_basis(n).matrix() @ nu.astype(np.complex128))
+    amp = canonical_synthesize(n, nu)
+    amp *= np.exp(1j * theta)
     return PureState(n, amp)

@@ -141,7 +141,6 @@ def homomorphism_check(
     local = _renormalized_sl2(local, tol)
     n = local.n
     basis = canonical_basis(n)
-    _require_biorthonormal(basis, tol)
     kind = FormKind.for_qubits(n)
     r = _represent(expand_local(local), basis)
     form_residual = form_defect(r, kind)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,17 @@ from spinforms.bases import (
     BasisSet,
     basis_from_orthogonal,
     basis_from_unitary_symplectic,
+    canonical_synthesize,
     canonical_j,
     check_biorthonormal,
     decompose_basis,
     form_defect,
     gram_pair,
+    magic_coefficients,
     magic_basis,
     product_biortho_basis,
     random_real_orthogonal,
     random_unitary_symplectic,
-    representative_labels,
     self_conjugacy_coefficient_check,
     state_coefficients,
     unitarity_defect,
@@ -26,8 +29,10 @@ from spinforms.core import (
     basis_state,
     expand_local,
     make_state,
+    random_state,
     random_su2,
 )
+from spinforms.bits import index_to_bits
 from spinforms.flip import FormKind, flip_state
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -56,13 +61,13 @@ def test_magic_basis_self_conjugate_and_biorthonormal(n):
 
 def test_magic_basis_pair_structure():
     n = 4
-    basis = magic_basis(n)
-    assert len(representative_labels(n)) == 2 ** (n - 1)
-    assert basis.matrix().shape[1] == 2**n
-    # each representative contributes a plus/minus pair on the same support
+    mat = magic_basis(n).matrix()
+    assert mat.shape[1] == 2**n
+    # each representative m < 2^(n-1) contributes a plus/minus pair on the support {m, ~m}
     for m in range(2 ** (n - 1)):
-        plus, minus = basis.matrix()[:, 2 * m], basis.matrix()[:, 2 * m + 1]
+        plus, minus = mat[:, 2 * m], mat[:, 2 * m + 1]
         np.testing.assert_array_equal(plus != 0, minus != 0)
+        assert set(np.flatnonzero(plus)) == {m, 2**n - 1 - m}
 
 
 def test_magic_basis_rejects_odd_n():
@@ -74,7 +79,7 @@ def test_product_basis_single_qubit():
     basis = product_biortho_basis(1)
     np.testing.assert_array_equal(basis.matrix()[:, 0], [1j, 0])
     np.testing.assert_array_equal(basis.matrix()[:, 1], [0, 1])
-    np.testing.assert_allclose(gram_pair(basis).form_gram, [[0, 1], [-1, 0]], atol=1e-15)
+    np.testing.assert_allclose(gram_pair(basis)[1], [[0, 1], [-1, 0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -83,12 +88,47 @@ def test_product_basis_biorthonormal(n):
     assert all(abs(np.linalg.norm(v) - 1.0) < 1e-14 for v in basis.matrix().T)
     report = check_biorthonormal(basis)
     assert report.passed
-    np.testing.assert_allclose(gram_pair(basis).form_gram, canonical_j(1 << n), atol=1e-14)
+    np.testing.assert_allclose(gram_pair(basis)[1], canonical_j(1 << n), atol=1e-14)
 
 
 def test_product_basis_rejects_even_n():
     with pytest.raises(ValueError):
         product_biortho_basis(2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_magic_coefficients_match_the_dense_basis(n):
+    psi = random_state(n, 300 + n).amp
+    dense = magic_basis(n).matrix().conj().T @ psi
+    np.testing.assert_allclose(magic_coefficients(psi), dense, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_canonical_synthesize_inverts_magic_coefficients(n):
+    psi = random_state(n, 400 + n).amp
+    np.testing.assert_allclose(canonical_synthesize(n, magic_coefficients(psi)), psi, rtol=0, atol=1e-15)
+    # both transforms act along axis 0, so the columns of a matrix transform independently
+    cols = np.stack([psi, 1j * psi[::-1]], axis=1)
+    for transform in (magic_coefficients, lambda x: canonical_synthesize(n, x)):
+        np.testing.assert_allclose(transform(cols)[:, 1], transform(cols[:, 1]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_product_synthesize_matches_kron_of_qubit_factors(n):
+    mat = canonical_synthesize(n, np.eye(1 << n))
+    factors = (np.array([1j, 0]), np.array([0, 1]))  # i|0>, |1>
+    labels = [int(np.flatnonzero(col)[0]) for col in mat.T]
+    assert sorted(labels) == list(range(1 << n))
+    for col, label in zip(mat.T, labels):
+        np.testing.assert_array_equal(col, reduce(np.kron, [factors[b] for b in index_to_bits(label, n)]))
+
+
+def test_transforms_reject_wrong_lengths():
+    with pytest.raises(ValueError):
+        canonical_synthesize(3, np.ones(4))
+    for length in (2, 8, 12):
+        with pytest.raises(ValueError):
+            magic_coefficients(np.ones(length))
 
 
 def test_basis_set_holds_one_read_only_matrix():
@@ -124,7 +164,7 @@ def test_computational_basis_is_not_biorthonormal():
     assert not report.passed
     assert report.hilbert_residual <= 1e-14
     # the form Gram of the computational basis is anti-diagonal, not identity
-    form = gram_pair(basis).form_gram
+    form = gram_pair(basis)[1]
     np.testing.assert_allclose(np.abs(form), np.fliplr(np.eye(4)), atol=1e-14)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spinforms.bits import (
-    bit_counts,
     bits_to_index,
     i_power,
     index_to_bits,
@@ -33,7 +32,6 @@ def test_index_out_of_range():
 @pytest.mark.parametrize("n", range(17))
 def test_bit_counts_and_parity_signs_match_python(n):
     want = np.array([bin(k).count("1") for k in range(1 << n)])
-    np.testing.assert_array_equal(bit_counts(n), want)
     signs = parity_signs(n)
     assert signs.dtype == np.float64
     np.testing.assert_array_equal(signs, 1.0 - 2.0 * (want % 2))

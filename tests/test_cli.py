@@ -200,17 +200,18 @@ def test_maxent_generate_then_check(tmp_path, capsys):
     assert report["verdicts"]["maximally_entangled"] is True
 
 
-def test_maxent_check_reports_criteria_disagreement(tmp_path, capsys):
-    # first magic vector plus 1e-5 |01>: tangle gap ~1e-10 passes, the phase and
-    # structure residuals ~1e-5 do not
+def test_maxent_check_rejects_near_maximal_state(tmp_path, capsys):
+    # first magic vector plus 1e-5 |01>: the tangle gap ~1e-10 is within
+    # tol_residual, but the phase residual ~1e-5 is not, and the structure
+    # criterion, on the same scale, agrees
     amp = np.array([S2, 1e-5, 0, -S2])
     path = tmp_path / "s.json"
     write_state(path, make_state(2, amp / np.linalg.norm(amp)))
     code, report = run(capsys, "maxent", "check", path)
-    # a report, not a traceback; the verdict on such a state is left unpinned
-    # until the three criteria are judged on a common scale
-    assert code in (0, 1)
-    assert report["values"]["criteria_agree"] is False
+    assert code == 1
+    assert report["verdicts"]["maximally_entangled"] is False
+    assert report["residuals"]["tangle_gap"] <= 1e-8
+    assert report["values"]["criteria_agree"] is True
 
 
 def test_maxent_check_fails_product_state(tmp_path, capsys):
@@ -228,7 +229,7 @@ def test_maxent_generate_unnormalized_nu_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("n", [13, 14, 40])
+@pytest.mark.parametrize("n", [13, 26, 40])
 def test_maxent_generate_rejects_n_before_drawing(tmp_path, capsys, monkeypatch, n):
     draws = []
     monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
@@ -237,6 +238,23 @@ def test_maxent_generate_rejects_n_before_drawing(tmp_path, capsys, monkeypatch,
     assert draws == []
     assert capsys.readouterr().err.startswith("error: qubit count" if n % 2 == 0 else "error: maximally")
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("n", [13, 14, 30])
+def test_basis_random_biortho_rejects_n_before_drawing(tmp_path, capsys, monkeypatch, n):
+    draws = []
+
+    def draw(dim, seed):
+        draws.append(dim)
+        raise MemoryError("a 2^n x 2^n draw")
+
+    monkeypatch.setattr("spinforms.cli.random_real_orthogonal", draw)
+    monkeypatch.setattr("spinforms.cli.random_unitary_symplectic", draw)
+    code = main(["basis", "random-biortho", "-n", str(n), "--out", str(tmp_path / "b.json")])
+    assert code == 2
+    assert draws == []
+    assert capsys.readouterr().err.startswith("error: qubit count")
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_maxent_generate_explicit_nu(tmp_path, capsys):
