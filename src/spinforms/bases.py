@@ -15,9 +15,9 @@ from functools import reduce
 
 import numpy as np
 
-from .bits import i_power, minus_i_power, parity_signs
+from .bits import i_power, parity_signs
 from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _frozen_complex, _require_qubits
-from .flip import FormKind, flip_state
+from .flip import FormKind, flip_amplitudes, signed_reversal
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
@@ -180,8 +180,8 @@ def canonical_basis(n: int) -> BasisSet:
 def gram_pair(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
     """(Hilbert Gram, form Gram) of a basis (no verdict)."""
     v = basis.matrix()
-    weighted = parity_signs(basis.n)[:, None] * v[::-1, :]
-    return v.conj().T @ v, v.T @ weighted * minus_i_power(basis.n)
+    # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
+    return v.conj().T @ v, signed_reversal(v).T @ v * i_power(-basis.n)
 
 
 def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> BiorthoReport:
@@ -324,5 +324,5 @@ def self_conjugacy_coefficient_check(
     """
     if psi.n % 2 != 0:
         raise ValueError("self-conjugate states require an even qubit count")
-    resid = float(np.max(np.abs(flip_state(psi).amp - psi.amp)))
+    resid = float(np.max(np.abs(flip_amplitudes(psi.amp) - psi.amp)))
     return SelfConjugacyReport(passed=resid <= tol.tol_residual, max_residual=resid)

@@ -17,11 +17,6 @@ def i_power(m: int) -> complex:
     return _I_POW[m % 4]
 
 
-def minus_i_power(m: int) -> complex:
-    """(-i)**m, exact, via mod-4 lookup."""
-    return _I_POW[(-m) % 4]
-
-
 def parity_signs(n: int) -> np.ndarray:
     """(-1)**popcount(k) for every flat index k in [0, 2**n), built one qubit at a time.
 

@@ -28,6 +28,7 @@ from .bases import (
 )
 from .core import (
     MAX_OPERATOR_QUBITS,
+    MAX_STATE_QUBITS,
     GlobalOperator,
     LocalOperatorList,
     Tolerances,
@@ -165,6 +166,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_op(args) -> int:
     if args.subcommand == "random-local":
+        _require_qubits(args.n, MAX_STATE_QUBITS)  # before the per-qubit draws
         draw = random_sl2 if args.group == "sl2" else random_su2
         local = LocalOperatorList(tuple(draw(args.seed + i) for i in range(args.n)))
         write_operator(args.out, local)

@@ -34,8 +34,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_norm", "tol_gram", "tol_residual"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 DEFAULT_TOL = Tolerances()

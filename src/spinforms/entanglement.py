@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_synthesize, magic_coefficients, state_coefficients
 from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _require_qubits
-from .flip import bilinear_form, flip_state
+from .flip import bilinear_form, flip_amplitudes
 
 
 def _as_normalized(psi: PureState, tol: Tolerances) -> PureState:
@@ -135,7 +135,8 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     form; theta and theta+pi are interchangeable) such that the rotated
     state is fixed by the spin flip and carries half its weight on the
     representative half of the index range.  The relation residual is the
-    2-norm ||flip(rotated) - rotated||, which is twice the phase residual of
+    2-norm ||flip(rotated) - rotated|| = ||flip(psi) - e^{-2i theta} psi||
+    (the flip is antilinear), twice the phase residual of
     is_maximally_entangled, so it is judged against 2 * tol_residual.
     """
     if psi.n % 2 != 0:
@@ -145,9 +146,10 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     # a vanishing form admits no phase witness (a flip-fixed normalized state
     # has form 1); residuals are then reported at zero phase
     theta = float(np.angle(form) / 2.0) if form != 0 else None
-    rotated = PureState(psi.n, np.exp(-1j * theta) * psi.amp) if theta is not None else psi
-    relation_residual = float(np.linalg.norm(flip_state(rotated).amp - rotated.amp))
-    half_sum_gap = float(abs(np.sum(np.abs(rotated.amp[: psi.dim // 2]) ** 2) - 0.5))
+    relation = flip_amplitudes(psi.amp)
+    relation -= (np.exp(-2j * theta) if theta is not None else 1.0) * psi.amp
+    relation_residual = float(np.linalg.norm(relation))
+    half_sum_gap = float(abs(np.linalg.norm(psi.amp[: psi.dim // 2]) ** 2 - 0.5))  # |e^{-i theta} psi_k| = |psi_k|
     passed = (
         theta is not None
         and relation_residual <= 2 * tol.tol_residual
@@ -184,9 +186,9 @@ def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Max
         raise ValueError("maximal-entanglement checks require an even qubit count")
     psi = _as_normalized(psi, tol)
 
-    tangle_gap = abs(tangle(psi, tol) - 1.0)
     c = magic_coefficients(psi.amp)
-    form = complex(np.sum(c * c))
+    form = complex(np.sum(c * c))  # the form itself, over a bi-orthonormal basis
+    tangle_gap = abs(abs(form) - 1.0)
     theta = float(np.angle(form) / 2.0) if form != 0 else None
     rotated = c * np.exp(-1j * theta) if theta is not None else c
     nu = rotated.real
@@ -215,13 +217,15 @@ def _require_maxent_qubits(n: int) -> None:
 def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> PureState:
     """Maximally entangled state e^{i theta} sum_l nu_l e_l over the magic basis.
 
-    ``nu`` must be real with unit square sum.
+    ``theta`` must be finite and ``nu`` real with unit square sum.
     """
     _require_maxent_qubits(n)
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (1 << n,):
         raise ValueError(f"nu must have length {1 << n} for n={n}, got {nu.shape}")
-    if abs(float(np.sum(nu * nu)) - 1.0) > tol.tol_norm:
+    if not abs(float(np.sum(nu * nu)) - 1.0) <= tol.tol_norm:  # also rejects NaN
         raise ValueError(f"nu must have unit square sum, got {float(np.sum(nu * nu)):.12g}")
     amp = canonical_synthesize(n, nu)
     amp *= np.exp(1j * theta)

@@ -6,9 +6,9 @@ ket gives a bilinear form that is symmetric when n is even (an orthogonal
 space) and antisymmetric when n is odd (a symplectic space).
 
 Two routes are provided for the flip and the form: an O(2^n) matrix-free
-kernel built on index arithmetic, and a dense sigma_y^(x)n oracle used for
-cross-validation at small n.  The two must agree; tests and the self-test
-suite enforce this.
+kernel, one signed reversal of the rows, and a dense sigma_y^(x)n oracle
+used for cross-validation at small n.  The two must agree; tests and the
+self-test suite enforce this.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import i_power, minus_i_power, parity_signs
+from .bits import i_power, parity_signs
 from .core import DEFAULT_TOL, GlobalOperator, PureState, Tolerances, random_state
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -49,38 +49,41 @@ class FormValue:
     kind: FormKind
 
 
-def flip_state(psi: PureState) -> PureState:
-    """Spin-flipped state, computed matrix-free in O(2^n).
+def signed_reversal(x) -> np.ndarray:
+    """Row k is (-1)^popcount(~k) * x[~k], along axis 0 of 2^n rows, written in one pass to a new array.
 
-    The amplitude at the bitwise-complement index ~k is
-    conj(psi_k) * (-1)^popcount(k) * i^n.  Since k -> ~k reverses the flat
-    index range, the kernel is a conjugate, a sign mask, and a reversal.
+    sigma_y^(x)n = i^n * signed_reversal, as sigma_y |j> = i (-1)^j |1 - j> on each qubit.
     """
-    weighted = np.conj(psi.amp) * parity_signs(psi.n) * i_power(psi.n)
-    return PureState(psi.n, weighted[::-1])
+    x = np.asarray(x)
+    signs = parity_signs(x.shape[0].bit_length() - 1)[::-1]
+    return np.multiply(x[::-1], signs.reshape((-1,) + (1,) * (x.ndim - 1)))
+
+
+def flip_amplitudes(x) -> np.ndarray:
+    """Spin flip sigma_y^(x)n conj(x) of amplitude vectors along axis 0, in O(2^n) per column."""
+    out = signed_reversal(np.asarray(x, dtype=np.complex128))
+    return np.multiply(np.conjugate(out, out=out), i_power(out.shape[0].bit_length() - 1), out=out)
+
+
+def flip_state(psi: PureState) -> PureState:
+    """Spin-flipped state, computed matrix-free in O(2^n)."""
+    return PureState(psi.n, flip_amplitudes(psi.amp))
 
 
 def bilinear_form(psi: PureState, phi: PureState) -> FormValue:
     """The spin-flip bilinear form (psi, phi) = <flip(psi)|phi>, matrix-free.
 
-    Equals sum_k psi_k * phi_{~k} * (-1)^popcount(k) * (-i)^n; symmetric for
-    even n, antisymmetric for odd n.
+    Equals (-i)^n signed_reversal(psi) . phi; symmetric for even n, antisymmetric for odd n.
     """
     if psi.n != phi.n:
         raise ValueError(f"qubit counts differ: {psi.n} vs {phi.n}")
-    n = psi.n
-    # reduce on contiguous memory: sum_k w_k phi_{~k} = dot(reversed(w), phi)
-    weighted = np.ascontiguousarray((psi.amp * parity_signs(n))[::-1])
-    value = np.dot(weighted, phi.amp) * minus_i_power(n)
-    return FormValue(complex(value), FormKind.for_qubits(n))
+    value = np.dot(signed_reversal(psi.amp), phi.amp) * i_power(-psi.n)
+    return FormValue(complex(value), FormKind.for_qubits(psi.n))
 
 
 def flip_local(a: np.ndarray) -> np.ndarray:
-    """Spin flip of a 1-qubit operator: F conj(A) F^-1 with F = sigma_y (self-inverse)."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    return SIGMA_Y @ np.conj(a) @ SIGMA_Y
+    """Spin flip of a 1-qubit operator: sigma_y conj(A) sigma_y, as flip_operator at n = 1."""
+    return flip_operator(GlobalOperator(1, a)).mat
 
 
 def flip_operator(op: GlobalOperator) -> GlobalOperator:

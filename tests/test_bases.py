@@ -33,7 +33,7 @@ from spinforms.core import (
     random_su2,
 )
 from spinforms.bits import index_to_bits
-from spinforms.flip import FormKind, flip_state
+from spinforms.flip import FormKind, bilinear_form_dense, flip_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -305,3 +305,15 @@ def test_self_conjugacy_examples():
     assert self_conjugacy_coefficient_check(make_state(2, [S2, 0, 0, -S2])).passed
     with pytest.raises(ValueError):
         self_conjugacy_coefficient_check(basis_state(3, 0))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_form_gram_matches_dense_form_on_every_column_pair(n):
+    # a random matrix, not a basis: every entry of the form Gram is a form value
+    rng = np.random.default_rng(60 + n)
+    dim = 1 << n
+    basis = BasisSet(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    _, form = gram_pair(basis)
+    cols = [PureState(n, v) for v in basis.matrix().T]
+    want = np.array([[bilinear_form_dense(a, b).value for b in cols] for a in cols])
+    np.testing.assert_allclose(form, want, rtol=1e-13, atol=1e-12)

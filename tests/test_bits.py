@@ -5,7 +5,6 @@ from spinforms.bits import (
     bits_to_index,
     i_power,
     index_to_bits,
-    minus_i_power,
     parity_signs,
 )
 
@@ -45,6 +44,6 @@ def test_parity_signs():
 def test_power_lookups_exact():
     for m in range(-8, 9):
         assert i_power(m) == 1j**(m % 4)
-        assert minus_i_power(m) == (-1j) ** (m % 4)
+        assert i_power(-m) == (-1j) ** (m % 4)
     assert i_power(2) == -1 + 0j
-    assert minus_i_power(1) == -1j
+    assert i_power(-1) == -1j

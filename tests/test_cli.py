@@ -5,7 +5,7 @@ import pytest
 
 from spinforms.bases import BasisSet, magic_basis
 from spinforms.cli import main
-from spinforms.core import basis_state, make_state
+from spinforms.core import LocalOperatorList, basis_state, make_state
 from spinforms.files import (
     read_basis,
     read_operator,
@@ -318,3 +318,49 @@ def test_unexpected_exception_exits_2_without_traceback(tmp_path, capsys, monkey
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("flag", ["--tol-norm", "--tol-gram", "--tol-residual"])
+def test_nan_tolerance_is_a_usage_error(tmp_path, capsys, flag):
+    basis_file, state_file = tmp_path / "b.json", tmp_path / "s.json"
+    write_basis(basis_file, magic_basis(2))
+    write_state(state_file, make_state(2, [S2, 0, 0, S2]))
+    for argv in (("basis", "check", basis_file), ("tangle", state_file)):
+        code = main([str(a) for a in argv] + [flag, "nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be nonnegative")
+
+
+@pytest.mark.parametrize("extra, name", [(("--theta", "inf"), "theta"), (("--nu", "nan,0,0,0"), "nu")])
+def test_maxent_generate_non_finite_input_exits_2(tmp_path, capsys, extra, name):
+    out = tmp_path / "m.json"
+    code = main(["maxent", "generate", "-n", "2", *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {name} must")
+    assert not out.exists()
+
+
+def test_op_random_local_checks_n_before_drawing(tmp_path, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr("spinforms.cli.random_sl2", draws.append)
+    out = tmp_path / "o.json"
+    code = main(["op", "random-local", "-n", "25", "--out", str(out)])
+    assert code == 2
+    assert draws == []
+    assert capsys.readouterr().err.startswith("error: qubit count")
+    assert not out.exists()
+
+
+def test_op_random_local_at_the_state_cap_round_trips(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code, report = run(capsys, "op", "random-local", "-n", 24, "--seed", 5, "--out", out)
+    assert code == 0
+    assert report["values"]["n"] == 24
+    op = read_operator(out)
+    assert isinstance(op, LocalOperatorList)
+    assert op.n == 24

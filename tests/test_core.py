@@ -189,3 +189,9 @@ def test_tolerances_validation():
     assert Tolerances().tol_residual == 1e-8
     with pytest.raises(ValueError):
         Tolerances(tol_norm=-1.0)
+
+
+@pytest.mark.parametrize("name", ["tol_norm", "tol_gram", "tol_residual"])
+def test_tolerances_reject_nan(name):
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: float("nan")})

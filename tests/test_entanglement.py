@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinforms.bases import basis_from_orthogonal, magic_basis, random_real_orthogonal, state_coefficients
+from spinforms.bases import (
+    basis_from_orthogonal,
+    canonical_synthesize,
+    magic_basis,
+    random_real_orthogonal,
+    state_coefficients,
+)
 from spinforms.core import (
+    DEFAULT_TOL,
     LocalOperatorList,
     PureState,
     apply,
@@ -23,6 +32,7 @@ from spinforms.entanglement import (
     tangle_from_coefficients,
     tangle_result,
 )
+from spinforms.flip import bilinear_form_dense, flip_state_dense
 
 S2 = 1.0 / np.sqrt(2.0)
 BELL = make_state(2, [S2, 0, 0, S2])
@@ -260,3 +270,61 @@ def test_sl_invariance_of_tangle():
                 moved_tangle = tangle(moved)
             norm_sq = moved.norm() ** 2
             assert moved_tangle * norm_sq == pytest.approx(tangle(psi), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "theta, nu, name",
+    [(np.nan, [1.0, 0, 0, 0], "theta"), (np.inf, [1.0, 0, 0, 0], "theta"), (0.0, [np.nan, 0, 0, 0], "nu")],
+)
+def test_maxent_generate_rejects_non_finite_input(theta, nu, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        maxent_generate(2, theta, nu)
+
+
+def _structure_by_rotation(psi):
+    """Rotate by e^{-i theta}, flip, subtract: the structure residuals through the dense oracle."""
+    theta = float(np.angle(bilinear_form_dense(psi, psi).value) / 2.0)
+    rotated = PureState(psi.n, np.exp(-1j * theta) * psi.amp)
+    relation = float(np.linalg.norm(flip_state_dense(rotated).amp - rotated.amp))
+    half_sum_gap = float(abs(np.sum(np.abs(rotated.amp[: psi.dim // 2]) ** 2) - 0.5))
+    return relation, half_sum_gap
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_structure_residuals_match_rotate_then_flip(n):
+    rng = np.random.default_rng(90 + n)
+    for _ in range(10):
+        nu = rng.normal(size=1 << n)
+        maximal = maxent_generate(n, float(rng.uniform(0, 2 * np.pi)), nu / np.linalg.norm(nu)).amp
+        near = maximal + rng.uniform(0, 1e-6) * random_state(n, rng).amp
+        for psi in (random_state(n, rng), make_state(n, near / np.linalg.norm(near))):
+            report = maxent_structure_check(psi)
+            relation, half_sum_gap = _structure_by_rotation(psi)
+            assert abs(report.relation_residual - relation) <= 1e-14
+            assert abs(report.half_sum_gap - half_sum_gap) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(-np.pi, np.pi),
+    ratio=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)),
+)
+def test_maxent_verdict_at_the_tolerance_boundary(n, seed, theta, ratio):
+    # e^{i theta} (sqrt(1 - d^2) nu + i d u) with u orthogonal to nu is d away
+    # from maximal entanglement; the half-sum gap is at most d, so the
+    # structure criterion decides alike on both sides of the tolerance
+    tol = DEFAULT_TOL.tol_residual
+    d = ratio * tol
+    rng = np.random.default_rng(seed)
+    nu = rng.normal(size=1 << n)
+    nu /= np.linalg.norm(nu)
+    u = rng.normal(size=1 << n)
+    u -= (u @ nu) * nu
+    u /= np.linalg.norm(u)
+    amp = np.exp(1j * theta) * canonical_synthesize(n, np.sqrt(1.0 - d * d) * nu + 1j * d * u)
+    report = is_maximally_entangled(PureState(n, amp))
+    assert report.passed == (d <= tol)
+    assert report.criteria_agree
+    assert abs(report.phase_residual - d) <= 1e-6 * d

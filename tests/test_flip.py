@@ -16,11 +16,13 @@ from spinforms.flip import (
     FormKind,
     bilinear_form,
     bilinear_form_dense,
+    flip_amplitudes,
     flip_local,
     flip_operator,
     flip_state,
     flip_state_dense,
     form_parity_check,
+    signed_reversal,
     spin_flip_matrix,
 )
 
@@ -191,3 +193,35 @@ def test_form_parity_check(n, kind):
     assert report.passed
     assert report.kind is kind
     assert report.max_residual <= 1e-12
+
+
+def test_signed_reversal_definition():
+    # row k is (-1)^popcount(~k) x[~k]
+    x = np.arange(1.0, 9.0)
+    want = [(-1) ** bin(7 - k).count("1") * x[7 - k] for k in range(8)]
+    np.testing.assert_array_equal(signed_reversal(x), want)
+    with pytest.raises(ValueError):
+        signed_reversal(np.ones(6))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_signed_reversal_and_flip_act_column_by_column(n):
+    rng = np.random.default_rng(40 + n)
+    x = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    for kernel in (signed_reversal, flip_amplitudes):
+        out = kernel(x)
+        assert out.flags.c_contiguous
+        for j in range(3):
+            np.testing.assert_array_equal(out[:, j], kernel(x[:, j]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flip_amplitudes_match_dense_oracle(n):
+    psi = random_state(n, 50 + n)
+    np.testing.assert_array_equal(flip_amplitudes(psi.amp), flip_state_dense(psi).amp)
+
+
+def test_flip_local_rejects_non_2x2():
+    for a in (np.eye(3), np.eye(4), np.ones(2)):
+        with pytest.raises(ValueError):
+            flip_local(a)
