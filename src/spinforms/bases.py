@@ -64,9 +64,8 @@ def canonical_j(dim: int) -> np.ndarray:
     if dim % 2 != 0:
         raise ValueError("symplectic pairing needs even dimension")
     j = np.zeros((dim, dim))
-    for m in range(dim // 2):
-        j[2 * m, 2 * m + 1] = 1.0
-        j[2 * m + 1, 2 * m] = -1.0
+    m = np.arange(0, dim, 2)
+    j[m, m + 1], j[m + 1, m] = 1.0, -1.0
     return j
 
 
@@ -79,8 +78,8 @@ def form_defect(x: np.ndarray, kind: FormKind) -> float:
     """||x^T T x - T||_F with T = I (orthogonal) or canonical J (symplectic): zero iff x is in the group."""
     if kind is FormKind.ORTHOGONAL:
         return float(np.linalg.norm(x.T @ x - np.eye(x.shape[0])))
-    j = canonical_j(x.shape[0])
-    return float(np.linalg.norm(x.T @ j @ x - j))
+    jx = np.stack([x[1::2], -x[0::2]], axis=1).reshape(x.shape)  # J x: a signed swap of each row pair
+    return float(np.linalg.norm(x.T @ jx - canonical_j(x.shape[0])))
 
 
 def _magic_phases(n: int) -> np.ndarray:
@@ -88,48 +87,55 @@ def _magic_phases(n: int) -> np.ndarray:
     return (parity_signs(n - 1) * i_power(n).real)[:, None]
 
 
-def canonical_synthesize(n: int, coeffs) -> np.ndarray:
-    """sum_l coeffs[l] * (canonical basis vector l), along axis 0, in O(2^n) per column.
+def _product_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, phases) for odd n: product basis vector l is phases[rows[l]] at row rows[l]; rows runs over the
+    complement pairs (k, ~k), +1 form member first, and phases[r] = i^(zeros in r), exact (kron of [i, 1])."""
+    h = 1 << (n - 1)
+    pairs = np.stack([np.arange(h), np.arange(2 * h - 1, h - 1, -1)], axis=1)  # (k, ~k)
+    rows = np.where((parity_signs(n - 1) > 0)[:, None], pairs, pairs[:, ::-1]).ravel()
+    return rows, reduce(lambda a, b: np.outer(a, b).ravel(), [np.array([1j, 1.0])] * n)[:, None]
 
-    The canonical basis is magic_basis(n) for even n, a butterfly on each
-    complement pair (k, ~k), and product_biortho_basis(n) for odd n, a
-    permutation followed by a phase.  The output is written in place, with
-    at most one half-size temporary; real input is never copied to complex.
+
+def _columns(n: int, x) -> np.ndarray:
+    """x as 2^n rows of columns, after checking its length along axis 0."""
+    if np.shape(x)[:1] != (1 << n,):
+        raise ValueError(f"expected {1 << n} entries along axis 0 for n={n}, got shape {np.shape(x)}")
+    return np.asarray(x).reshape(1 << n, -1)
+
+
+def canonical_synthesize(n: int, coeffs) -> np.ndarray:
+    """V coeffs = sum_l coeffs[l] * (canonical basis vector l), along axis 0, in O(2^n) per column.
+
+    Even n (magic_basis): a butterfly on each complement pair (k, ~k), in place with one half-size
+    temporary.  Odd n (product_biortho_basis): a row scatter and a phase.  Real input is not copied to complex.
     """
-    coeffs = np.asarray(coeffs)
-    dim, h = 1 << n, 1 << (n - 1)
-    if coeffs.shape[:1] != (dim,):
-        raise ValueError(f"expected {dim} coefficients along axis 0 for n={n}, got shape {coeffs.shape}")
-    flat = coeffs.reshape(dim, -1)
+    flat = _columns(n, coeffs)
     out = np.empty(flat.shape, dtype=np.complex128)
     if n % 2 == 1:
-        pairs = np.stack([np.arange(h), np.arange(dim - 1, h - 1, -1)], axis=1)  # (k, ~k)
-        plus_first = (parity_signs(n - 1) > 0)[:, None]
-        out[np.where(plus_first, pairs, pairs[:, ::-1]).ravel()] = flat
-        # i^(number of zeros in the label): the Kronecker product of [i, 1] per qubit, exact
-        out *= reduce(lambda a, b: np.outer(a, b).ravel(), [np.array([1j, 1.0])] * n)[:, None]
+        rows, phases = _product_layout(n)
+        out[rows] = flat
+        out *= phases
     else:
+        h = 1 << (n - 1)
         top, bottom = out[:h], out[::-1][:h]  # bottom[k] is row ~k
         i_odd = 1j * flat[1::2]
         np.add(flat[0::2], i_odd, out=top)
         np.subtract(flat[0::2], i_odd, out=bottom)
         top *= _S2
         bottom *= _magic_phases(n) * _S2
-    return out.reshape(coeffs.shape)
+    return out.reshape(np.shape(coeffs))
 
 
-def magic_coefficients(amp) -> np.ndarray:
-    """Coefficients over magic_basis(n) along axis 0 (length 2^n, n even): the inverse butterfly.
+def canonical_coefficients(n: int, x) -> np.ndarray:
+    """Coefficients V^H x over the canonical basis, along axis 0: the inverse of canonical_synthesize.
 
-    With c_k the phase of magic_basis, coefficient 2k is (psi_k + c_k psi_~k) / sqrt(2)
-    and coefficient 2k+1 is -i (psi_k - c_k psi_~k) / sqrt(2); O(2^n) per column.
-    """
-    amp = np.asarray(amp)
-    dim = amp.shape[0]
-    n, h = dim.bit_length() - 1, dim // 2
-    if n < 2 or n % 2 != 0 or dim != 1 << n:
-        raise ValueError(f"magic coefficients need 2^n amplitudes with n even, got {dim}")
-    flat = amp.reshape(dim, -1)
+    Even n, with c_k the phase of magic_basis: (x_k + c_k x_~k) / sqrt(2) at 2k and
+    -i (x_k - c_k x_~k) / sqrt(2) at 2k+1.  Odd n: a row gather and the conjugate phase.  O(2^n) per column."""
+    flat = _columns(n, x)
+    if n % 2 == 1:
+        rows, phases = _product_layout(n)
+        return (flat[rows] * phases[rows].conj()).reshape(np.shape(x))
+    h = 1 << (n - 1)
     out = np.empty(flat.shape, dtype=np.complex128)
     plus, minus = out[0::2], out[1::2]
     reflected = flat[::-1][:h] * _magic_phases(n)
@@ -137,7 +143,7 @@ def magic_coefficients(amp) -> np.ndarray:
     np.subtract(flat[:h], reflected, out=minus)
     plus *= _S2
     minus *= -1j * _S2
-    return out.reshape(amp.shape)
+    return out.reshape(np.shape(x))
 
 
 def magic_basis(n: int) -> BasisSet:
@@ -153,7 +159,7 @@ def magic_basis(n: int) -> BasisSet:
     """
     if n % 2 != 0:
         raise ValueError("the magic basis requires an even qubit count")
-    return canonical_basis(n)
+    return _canonical_basis(n, MAGIC_ORDERING)
 
 
 def product_biortho_basis(n: int) -> BasisSet:
@@ -166,13 +172,12 @@ def product_biortho_basis(n: int) -> BasisSet:
     """
     if n % 2 != 1:
         raise ValueError("the product bi-orthonormal basis requires an odd qubit count")
-    return canonical_basis(n)
+    return _canonical_basis(n, PRODUCT_ORDERING)
 
 
-def canonical_basis(n: int) -> BasisSet:
-    """Parity-appropriate canonical bi-orthonormal basis: canonical_synthesize applied to the identity."""
+def _canonical_basis(n: int, ordering: str) -> BasisSet:
+    """The dense canonical basis: canonical_synthesize applied to the identity."""
     _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
-    ordering = MAGIC_ORDERING if n % 2 == 0 else PRODUCT_ORDERING
     # a bool identity: one byte per entry next to the 16-byte output
     return BasisSet(n, canonical_synthesize(n, np.eye(1 << n, dtype=bool)), ordering)
 
@@ -192,13 +197,10 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     order, both within tol_gram.
     """
     hilbert, form = gram_pair(basis)
-    dim = basis.dim
-    kind = FormKind.for_qubits(basis.n)
-    if kind is FormKind.ORTHOGONAL:
-        target, target_name = np.eye(dim), "identity"
-    else:
-        target, target_name = canonical_j(dim), "canonical J"
-    h_resid = float(np.linalg.norm(hilbert - np.eye(dim)))
+    kind, eye = FormKind.for_qubits(basis.n), np.eye(basis.dim)
+    odd = kind is FormKind.SYMPLECTIC
+    target, target_name = (canonical_j(basis.dim), "canonical J") if odd else (eye, "identity")
+    h_resid = float(np.linalg.norm(hilbert - eye))
     f_resid = float(np.linalg.norm(form - target))
     return BiorthoReport(
         passed=h_resid <= tol.tol_gram and f_resid <= tol.tol_gram,
@@ -262,7 +264,7 @@ def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     if basis.n % 2 != 0:
         raise ValueError("magic-basis decomposition requires an even qubit count")
     _require_biorthonormal(basis, tol)
-    coeff = magic_coefficients(basis.matrix()).T
+    coeff = canonical_coefficients(basis.n, basis.matrix()).T
     imag_max = float(np.max(np.abs(coeff.imag)))
     defect = form_defect(coeff.T, FormKind.ORTHOGONAL)  # C C^T - I
     if imag_max > tol.tol_residual or defect > tol.tol_residual:

@@ -18,7 +18,6 @@ from . import __version__
 from .bases import (
     basis_from_orthogonal,
     basis_from_unitary_symplectic,
-    canonical_basis,
     check_biorthonormal,
     form_defect,
     magic_basis,
@@ -202,8 +201,7 @@ def _cmd_op(args) -> int:
 
     # represent
     as_global = expand_local(op) if isinstance(op, LocalOperatorList) else op
-    basis = read_basis(args.basis_file) if args.basis_file else canonical_basis(as_global.n)
-    r = represent_in_basis(as_global, basis, tol)
+    r = represent_in_basis(as_global, read_basis(args.basis_file) if args.basis_file else None, tol)
     kind = FormKind.for_qubits(as_global.n)
     defect = form_defect(r, kind)
     if args.out:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, _require_biorthonormal, canonical_synthesize, magic_coefficients, state_coefficients
+from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
 from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _require_qubits
 from .flip import bilinear_form, flip_amplitudes
 
@@ -84,14 +84,15 @@ class TangleResult:
 
 
 def tangle_result(psi: PureState, basis: BasisSet | None = None, tol: Tolerances = DEFAULT_TOL) -> TangleResult:
-    """Tangle plus the polygon of its coefficient expansion (even n only); no basis means the magic basis."""
+    """Tangle plus the polygon of coefficients over a bi-orthonormal basis (even n); no basis means the magic basis."""
     if psi.n % 2 != 0:
         raise ValueError("the coefficient view of the tangle requires an even qubit count")
     psi = _as_normalized(psi, tol)
     if basis is None:
-        c, label = magic_coefficients(psi.amp), "magic"
+        c, label = canonical_coefficients(psi.n, psi.amp), "magic"
     else:
-        c, label = state_coefficients(basis, psi), basis.ordering or "custom"
+        c, label = state_coefficients(basis, psi), basis.ordering or "custom"  # checks the qubit counts
+        _require_biorthonormal(basis, tol)
     return TangleResult(value=tangle(psi, tol), polygon=polygon(c), basis_used=label)
 
 
@@ -186,7 +187,7 @@ def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Max
         raise ValueError("maximal-entanglement checks require an even qubit count")
     psi = _as_normalized(psi, tol)
 
-    c = magic_coefficients(psi.amp)
+    c = canonical_coefficients(psi.n, psi.amp)
     form = complex(np.sum(c * c))  # the form itself, over a bi-orthonormal basis
     tangle_gap = abs(abs(form) - 1.0)
     theta = float(np.angle(form) / 2.0) if form != 0 else None
@@ -225,8 +226,10 @@ def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> 
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (1 << n,):
         raise ValueError(f"nu must have length {1 << n} for n={n}, got {nu.shape}")
-    if not abs(float(np.sum(nu * nu)) - 1.0) <= tol.tol_norm:  # also rejects NaN
-        raise ValueError(f"nu must have unit square sum, got {float(np.sum(nu * nu)):.12g}")
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which the test rejects
+        square_sum = float(np.sum(nu * nu))
+    if not abs(square_sum - 1.0) <= tol.tol_norm:  # also rejects NaN
+        raise ValueError(f"nu must have unit square sum, got {square_sum:.12g}")
     amp = canonical_synthesize(n, nu)
     amp *= np.exp(1j * theta)
     return PureState(n, amp)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, _require_biorthonormal, canonical_basis, form_defect, unitarity_defect
+from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, form_defect, unitarity_defect
 from .core import (
     DEFAULT_TOL,
     GlobalOperator,
@@ -86,20 +86,22 @@ def local_form_criterion(local: LocalOperatorList, tol: Tolerances = DEFAULT_TOL
     )
 
 
-def _represent(op: GlobalOperator, basis: BasisSet) -> np.ndarray:
-    # R[j, k] = <B_j | op B_k>, with no check on the basis
-    v = basis.matrix()
-    return v.conj().T @ op.mat @ v
-
-
 def represent_in_basis(
-    op: GlobalOperator, basis: BasisSet, tol: Tolerances = DEFAULT_TOL
+    op: GlobalOperator, basis: BasisSet | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Matrix of ``op`` in a bi-orthonormal basis: R[j, k] = <B_j | op B_k>."""
+    """Matrix of ``op`` in a bi-orthonormal basis: R[j, k] = <B_j | op B_k>.
+
+    No basis means the canonical basis V, bi-orthonormal by construction, so no Gram check runs:
+    R = C(C(M)^H)^H = V^H M V with C = canonical_coefficients(n, .), in O(4^n).
+    """
+    if basis is None:
+        half = canonical_coefficients(op.n, op.mat).conj().T  # (V^H M)^H = M^H V
+        return canonical_coefficients(op.n, half).conj().T
     if op.n != basis.n:
         raise ValueError(f"qubit counts differ: operator {op.n} vs basis {basis.n}")
     _require_biorthonormal(basis, tol)
-    return _represent(op, basis)
+    v = basis.matrix()
+    return v.conj().T @ op.mat @ v
 
 
 def _renormalized_sl2(local: LocalOperatorList, tol: Tolerances) -> LocalOperatorList:
@@ -140,22 +142,16 @@ def homomorphism_check(
     """
     local = _renormalized_sl2(local, tol)
     n = local.n
-    basis = canonical_basis(n)
     kind = FormKind.for_qubits(n)
-    r = _represent(expand_local(local), basis)
+    r = represent_in_basis(expand_local(local))
     form_residual = form_defect(r, kind)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        partner = LocalOperatorList(
-            tuple(random_sl2(int(rng.integers(0, 2**63))) for _ in range(n))
-        )
-        r_partner = _represent(expand_local(partner), basis)
-        composed = LocalOperatorList(
-            tuple(a @ b for a, b in zip(local.ops, partner.ops))
-        )
-        r_composed = _represent(expand_local(composed), basis)
+        partner = LocalOperatorList(tuple(random_sl2(int(rng.integers(0, 2**63))) for _ in range(n)))
+        composed = LocalOperatorList(tuple(a @ b for a, b in zip(local.ops, partner.ops)))
+        r_partner, r_composed = (represent_in_basis(expand_local(x)) for x in (partner, composed))
         worst = max(worst, float(np.linalg.norm(r_composed - r @ r_partner)))
 
     return HomomorphismReport(
@@ -216,7 +212,7 @@ def classify_operator(
         op = expand_local(op)
     unitary_residual = unitarity_defect(op.mat)
     preservation = is_form_preserving(op, tol)
-    rep = _represent(op, canonical_basis(op.n))
+    rep = represent_in_basis(op)
     return OperatorClassReport(
         is_unitary=unitary_residual <= tol.tol_residual,
         unitary_residual=unitary_residual,

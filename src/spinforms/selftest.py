@@ -220,10 +220,9 @@ def check_odd_homomorphism(
     """
     worst_form, worst_mult = _homomorphism_residuals(ns, draws, partners, local_seed, partner_seed)
     one_qubit = 0.0
-    basis = bases.product_biortho_basis(1)
     for i in range(one_qubit_draws):
         local = core.LocalOperatorList((core.random_sl2(one_qubit_seed + i),))
-        r = groups.represent_in_basis(core.expand_local(local), basis)
+        r = groups.represent_in_basis(core.expand_local(local))  # the canonical basis {i|0>, |1>}
         one_qubit = max(one_qubit, bases.form_defect(r, flip.FormKind.SYMPLECTIC))
     return CheckResult(
         "odd-homomorphism",

@@ -7,13 +7,13 @@ from spinforms.bases import (
     BasisSet,
     basis_from_orthogonal,
     basis_from_unitary_symplectic,
+    canonical_coefficients,
     canonical_synthesize,
     canonical_j,
     check_biorthonormal,
     decompose_basis,
     form_defect,
     gram_pair,
-    magic_coefficients,
     magic_basis,
     product_biortho_basis,
     random_real_orthogonal,
@@ -100,17 +100,33 @@ def test_product_basis_rejects_even_n():
 def test_magic_coefficients_match_the_dense_basis(n):
     psi = random_state(n, 300 + n).amp
     dense = magic_basis(n).matrix().conj().T @ psi
-    np.testing.assert_allclose(magic_coefficients(psi), dense, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(canonical_coefficients(n, psi), dense, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+def test_product_coefficients_match_the_dense_basis(n):
+    # a gather and a phase in {1, -1, i, -i}: no rounding, so equal to the dense product exactly
+    psi = random_state(n, 350 + n).amp
+    assert np.array_equal(canonical_coefficients(n, psi), product_biortho_basis(n).matrix().conj().T @ psi)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_canonical_synthesize_inverts_magic_coefficients(n):
     psi = random_state(n, 400 + n).amp
-    np.testing.assert_allclose(canonical_synthesize(n, magic_coefficients(psi)), psi, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(canonical_synthesize(n, canonical_coefficients(n, psi)), psi, rtol=0, atol=1e-15)
     # both transforms act along axis 0, so the columns of a matrix transform independently
     cols = np.stack([psi, 1j * psi[::-1]], axis=1)
-    for transform in (magic_coefficients, lambda x: canonical_synthesize(n, x)):
+    for transform in (lambda x: canonical_coefficients(n, x), lambda x: canonical_synthesize(n, x)):
         np.testing.assert_allclose(transform(cols)[:, 1], transform(cols[:, 1]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 9, 15])
+def test_canonical_synthesize_inverts_product_coefficients(n):
+    psi = random_state(n, 450 + n).amp
+    assert np.array_equal(canonical_synthesize(n, canonical_coefficients(n, psi)), psi)
+    cols = np.stack([psi, 1j * psi[::-1]], axis=1)
+    for transform in (lambda x: canonical_coefficients(n, x), lambda x: canonical_synthesize(n, x)):
+        assert np.array_equal(transform(cols)[:, 1], transform(cols[:, 1]))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
@@ -124,11 +140,10 @@ def test_product_synthesize_matches_kron_of_qubit_factors(n):
 
 
 def test_transforms_reject_wrong_lengths():
-    with pytest.raises(ValueError):
-        canonical_synthesize(3, np.ones(4))
-    for length in (2, 8, 12):
-        with pytest.raises(ValueError):
-            magic_coefficients(np.ones(length))
+    for n, length in ((3, 4), (2, 2), (2, 8), (4, 12)):
+        for transform in (canonical_synthesize, canonical_coefficients):
+            with pytest.raises(ValueError):
+                transform(n, np.ones(length))
 
 
 def test_basis_set_holds_one_read_only_matrix():
@@ -225,6 +240,19 @@ def test_unitarity_defect(n):
     # symplectic but not unitary: x^H x - I = diag(3, -3/4) on each pair
     stretch = np.diag([2.0, 0.5] * (dim // 2))
     assert unitarity_defect(stretch) == pytest.approx(np.sqrt(dim // 2 * (3.0**2 + 0.75**2)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_symplectic_form_defect_matches_the_dense_j_product(n):
+    dim = 1 << n
+    loop_j = np.zeros((dim, dim))
+    for m in range(dim // 2):
+        loop_j[2 * m, 2 * m + 1], loop_j[2 * m + 1, 2 * m] = 1.0, -1.0
+    assert np.array_equal(canonical_j(dim), loop_j)
+    rng = np.random.default_rng(500 + n)
+    for x in (rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))):
+        dense = np.linalg.norm(x.T @ loop_j @ x - loop_j)
+        assert form_defect(x, FormKind.SYMPLECTIC) == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -345,6 +345,25 @@ def test_maxent_generate_non_finite_input_exits_2(tmp_path, capsys, extra, name)
     assert not out.exists()
 
 
+def test_maxent_generate_overflowing_nu_exits_2_with_one_line(tmp_path, capsys):
+    import sys
+    import warnings
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        # print warnings to stderr, as outside the test suite, so any warning breaks the one-line contract
+        warnings.simplefilter("default")
+        warnings.showwarning = to_stderr
+        code = main(["maxent", "generate", "-n", "2", "--nu", "1e200,0,0,0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: nu must have unit square sum, got inf"]
+    assert not out.exists()
+
+
 def test_op_random_local_checks_n_before_drawing(tmp_path, capsys, monkeypatch):
     draws = []
     monkeypatch.setattr("spinforms.cli.random_sl2", draws.append)

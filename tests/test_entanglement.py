@@ -152,6 +152,16 @@ def test_amplitude_bound_rejects_bad_basis():
         amplitude_bound_check(BELL, computational)
 
 
+def test_tangle_result_rejects_bad_basis():
+    from spinforms.bases import BasisSet
+
+    # the computational basis is orthonormal but not form-orthonormal: its polygon would end off the tangle
+    with pytest.raises(ValueError, match="not bi-orthonormal"):
+        tangle_result(random_state(2, 1), BasisSet(2, np.eye(4)))
+    result = tangle_result(random_state(2, 1), magic_basis(2))
+    assert abs(complex(*result.polygon[-1])) == pytest.approx(result.value, abs=1e-12)
+
+
 def test_maxent_golden_cases():
     report = is_maximally_entangled(GHZ4)
     assert report.passed
@@ -222,6 +232,12 @@ def test_maxent_generate_rejects_bad_nu():
         maxent_generate(3, 0.0, [1.0] + [0.0] * 7)
     with pytest.raises(ValueError):
         maxent_generate(2, 0.0, [1.0, 0])
+
+
+def test_maxent_generate_rejects_overflowing_nu():
+    # the square sum overflows to inf, which is rejected without a RuntimeWarning
+    with pytest.raises(ValueError, match="unit square sum, got inf"):
+        maxent_generate(2, 0.0, [1e200, 0, 0, 0])
 
 
 def test_three_conditions_agree():

@@ -84,6 +84,46 @@ def test_represent_requires_biorthonormal_basis():
         represent_in_basis(GlobalOperator(2, np.eye(4)), basis)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_representation_matches_the_dense_product(n):
+    # Ginibre operator: R = V^H M V with V the dense canonical basis
+    rng = np.random.default_rng(600 + n)
+    dim = 1 << n
+    op = GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    v = (magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)).matrix()
+    dense = v.conj().T @ op.mat @ v
+    if n % 2 == 1:
+        assert np.array_equal(represent_in_basis(op), dense)  # phases in {1, -1, i, -i}: no rounding
+    else:
+        np.testing.assert_allclose(represent_in_basis(op), dense, rtol=0, atol=1e-14)
+
+
+def test_canonical_representation_builds_no_dense_basis(monkeypatch, tmp_path, capsys):
+    # the canonical paths go through the transform: no BasisSet is built and no Gram check runs
+    import spinforms.bases as bases
+    import spinforms.groups as groups
+    from spinforms.cli import main
+    from spinforms.files import write_operator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense canonical basis or Gram check on the canonical path")
+
+    op_file = tmp_path / "op.json"
+    write_operator(op_file, sl2_list(3, 640))
+    monkeypatch.setattr(bases.BasisSet, "__post_init__", refuse)
+    monkeypatch.setattr(bases, "_require_biorthonormal", refuse)
+    monkeypatch.setattr(groups, "_require_biorthonormal", refuse)
+    for n in (2, 3):
+        local = sl2_list(n, 650 + n)
+        assert classify_operator(local).basis_rep_residual <= 1e-10
+        assert classify_operator(expand_local(local)).basis_rep_residual <= 1e-10
+        assert homomorphism_check(local, trials=2, seed=n).passed
+        r = represent_in_basis(expand_local(local))
+        assert bases.form_defect(r, groups.FormKind.for_qubits(n)) <= 1e-10
+    assert main(["op", "represent", str(op_file)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sl2_representation_is_orthogonal_even_n():
     basis = magic_basis(2)
     for seed in range(10):
@@ -121,10 +161,8 @@ def test_homomorphism_check(n):
 
 def test_homomorphism_single_qubit_is_symplectic():
     # SL(2) in the 1-qubit bi-orthonormal basis satisfies R^T J R = J
-    from spinforms.groups import canonical_basis
-
     a = random_sl2(170)
-    r = represent_in_basis(expand_local(LocalOperatorList((a,))), canonical_basis(1))
+    r = represent_in_basis(expand_local(LocalOperatorList((a,))), product_biortho_basis(1))
     j = canonical_j(2)
     assert np.linalg.norm(r.T @ j @ r - j) <= 1e-10
 
