@@ -110,7 +110,8 @@ def canonical_synthesize(n: int, coeffs) -> np.ndarray:
     temporary.  Odd n (product_biortho_basis): a row scatter and a phase.  Real input is not copied to complex.
     """
     flat = _columns(n, coeffs)
-    out = np.empty(flat.shape, dtype=np.complex128)
+    result = np.empty(np.shape(coeffs), dtype=np.complex128)  # owns its data, so it can be frozen and stored
+    out = result.reshape(flat.shape)  # a view of result
     if n % 2 == 1:
         rows, phases = _product_layout(n)
         out[rows] = flat
@@ -123,7 +124,7 @@ def canonical_synthesize(n: int, coeffs) -> np.ndarray:
         np.subtract(flat[0::2], i_odd, out=bottom)
         top *= _S2
         bottom *= _magic_phases(n) * _S2
-    return out.reshape(np.shape(coeffs))
+    return result
 
 
 def canonical_coefficients(n: int, x) -> np.ndarray:
@@ -179,7 +180,9 @@ def _canonical_basis(n: int, ordering: str) -> BasisSet:
     """The dense canonical basis: canonical_synthesize applied to the identity."""
     _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
     # a bool identity: one byte per entry next to the 16-byte output
-    return BasisSet(n, canonical_synthesize(n, np.eye(1 << n, dtype=bool)), ordering)
+    mat = canonical_synthesize(n, np.eye(1 << n, dtype=bool))
+    mat.setflags(write=False)  # BasisSet then stores it as given
+    return BasisSet(n, mat, ordering)
 
 
 def gram_pair(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 Flat amplitude vectors are indexed so that qubit 1 is the MOST significant
 bit of the index, matching the left-to-right order of a ket label
 |j_1, j_2, ..., j_n>.  All values are immutable after construction and safe
-to share across threads.
+to share across threads: a frozen array (read-only, C-contiguous complex128,
+owning its data) is stored as given, and anything else is copied and frozen.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def _require_qubits(n: int, cap: int) -> None:
 
 
 def _frozen_complex(values, shape) -> np.ndarray:
+    """A read-only C-contiguous complex128 array of ``shape``.
+
+    A frozen array (read-only, C-contiguous complex128 of this shape, owning its data) is
+    stored as given; anything else is copied, so no caller's writable array is ever shared.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.complex128
+        and values.shape == shape
+        and values.flags.c_contiguous
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     # C order also for transposed views (basis files), so every stored matrix has one layout
     arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
 from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _require_qubits
-from .flip import bilinear_form, flip_amplitudes
+from .flip import _signed_dot, bilinear_form, flip_amplitudes
 
 
 def _as_normalized(psi: PureState, tol: Tolerances) -> PureState:
@@ -41,7 +41,10 @@ def tangle(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> float:
     out (the form is quadratic, so this equals dividing by <psi|psi>).
     """
     psi = _as_normalized(psi, tol)
-    return abs(bilinear_form(psi, psi).value)
+    if psi.n % 2:
+        return abs(bilinear_form(psi, psi).value)
+    # even n: the terms of k and ~k in the form's sum are equal, so half the rows suffice
+    return 2.0 * abs(_signed_dot(psi.amp, psi.amp, psi.dim // 2))
 
 
 def tangle_from_coefficients(coeffs) -> float:
@@ -148,7 +151,9 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     # has form 1); residuals are then reported at zero phase
     theta = float(np.angle(form) / 2.0) if form != 0 else None
     relation = flip_amplitudes(psi.amp)
-    relation -= (np.exp(-2j * theta) if theta is not None else 1.0) * psi.amp
+    if theta is not None:
+        relation *= np.exp(2j * theta)  # same norm as flip(psi) - e^{-2i theta} psi, with no temporary
+    relation -= psi.amp
     relation_residual = float(np.linalg.norm(relation))
     half_sum_gap = float(abs(np.linalg.norm(psi.amp[: psi.dim // 2]) ** 2 - 0.5))  # |e^{-i theta} psi_k| = |psi_k|
     passed = (

@@ -6,9 +6,10 @@ ket gives a bilinear form that is symmetric when n is even (an orthogonal
 space) and antisymmetric when n is odd (a symplectic space).
 
 Two routes are provided for the flip and the form: an O(2^n) matrix-free
-kernel, one signed reversal of the rows, and a dense sigma_y^(x)n oracle
-used for cross-validation at small n.  The two must agree; tests and the
-self-test suite enforce this.
+kernel, a signed reversal of the rows taken block by block against one
+cached tile of signs, and a dense sigma_y^(x)n oracle used for
+cross-validation at small n.  The two must agree; tests and the self-test
+suite enforce this.
 """
 
 from __future__ import annotations
@@ -49,25 +50,71 @@ class FormValue:
     kind: FormKind
 
 
+#: Low index bits of the sign tile: a 128 KiB complex block and the two 64 KiB tiles +-s_lo stay in cache together.
+_TILE_BITS = 13
+
+
+def _signed_blocks(x: np.ndarray, stop: int | None = None):
+    """Yield (rows, block, tile) for consecutive row blocks of x[::-1] up to row ``stop`` (default all).
+
+    block * tile is signed_reversal(x)[rows].  For k = a * 2^l + b with l = min(n, _TILE_BITS),
+    the sign of row k factors as (-1)^popcount(~k) = (-1)^n * s_hi[a] * s_lo[b], so each block
+    gets the one cached tile s_lo or its negation and no 2^n-entry mask is built.
+    """
+    n = x.shape[0].bit_length() - 1
+    if n < 0 or x.shape[0] != 1 << n:
+        raise ValueError(f"expected 2^n rows along axis 0, got shape {x.shape}")
+    low = min(n, _TILE_BITS)
+    tile = parity_signs(low).reshape((-1,) + (1,) * (x.ndim - 1))
+    tiles = (tile, -tile)
+    end = x.shape[0] if stop is None else stop
+    for start in range(0, end, 1 << low):
+        block_rows = slice(start, min(start + (1 << low), end))
+        sign = (n + (start >> low).bit_count()) % 2  # (-1)^n * s_hi[a] is +1 or -1
+        yield block_rows, x[::-1][block_rows], tiles[sign][: block_rows.stop - start]
+
+
 def signed_reversal(x) -> np.ndarray:
     """Row k is (-1)^popcount(~k) * x[~k], along axis 0 of 2^n rows, written in one pass to a new array.
 
     sigma_y^(x)n = i^n * signed_reversal, as sigma_y |j> = i (-1)^j |1 - j> on each qubit.
     """
     x = np.asarray(x)
-    signs = parity_signs(x.shape[0].bit_length() - 1)[::-1]
-    return np.multiply(x[::-1], signs.reshape((-1,) + (1,) * (x.ndim - 1)))
+    out = np.empty(x.shape, dtype=np.result_type(x, np.float64))
+    for rows, block, tile in _signed_blocks(x):
+        np.multiply(block, tile, out=out[rows])
+    return out
 
 
 def flip_amplitudes(x) -> np.ndarray:
-    """Spin flip sigma_y^(x)n conj(x) of amplitude vectors along axis 0, in O(2^n) per column."""
-    out = signed_reversal(np.asarray(x, dtype=np.complex128))
-    return np.multiply(np.conjugate(out, out=out), i_power(out.shape[0].bit_length() - 1), out=out)
+    """Spin flip sigma_y^(x)n conj(x) of amplitude vectors along axis 0, in one pass per column.
+
+    The sign, the conjugate and the phase i^n are applied to each block while it is in cache.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    out = np.empty(x.shape, dtype=np.complex128)
+    phase = i_power(x.shape[0].bit_length() - 1)
+    for rows, block, tile in _signed_blocks(x):
+        part = np.multiply(block, tile, out=out[rows])
+        np.multiply(np.conjugate(part, out=part), phase, out=part)
+    return out
+
+
+def _signed_dot(x: np.ndarray, y: np.ndarray, stop: int) -> complex:
+    """sum over k < stop of (-1)^popcount(~k) x[~k] y[k], block by block with no full-size product."""
+    buf = np.empty(min(stop, 1 << _TILE_BITS), dtype=np.complex128)
+    total = np.zeros(2)
+    for block_rows, block, tile in _signed_blocks(x, stop):
+        product = np.multiply(block, y[block_rows], out=buf[: len(block)])
+        total += tile @ product.view(np.float64).reshape(-1, 2)  # (real, imaginary) row sums
+    return complex(total[0], total[1])
 
 
 def flip_state(psi: PureState) -> PureState:
     """Spin-flipped state, computed matrix-free in O(2^n)."""
-    return PureState(psi.n, flip_amplitudes(psi.amp))
+    amp = flip_amplitudes(psi.amp)
+    amp.setflags(write=False)  # PureState then stores it as given
+    return PureState(psi.n, amp)
 
 
 def bilinear_form(psi: PureState, phi: PureState) -> FormValue:
@@ -77,8 +124,8 @@ def bilinear_form(psi: PureState, phi: PureState) -> FormValue:
     """
     if psi.n != phi.n:
         raise ValueError(f"qubit counts differ: {psi.n} vs {phi.n}")
-    value = np.dot(signed_reversal(psi.amp), phi.amp) * i_power(-psi.n)
-    return FormValue(complex(value), FormKind.for_qubits(psi.n))
+    value = _signed_dot(psi.amp, phi.amp, psi.dim) * i_power(-psi.n)
+    return FormValue(value, FormKind.for_qubits(psi.n))
 
 
 def flip_local(a: np.ndarray) -> np.ndarray:

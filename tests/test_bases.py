@@ -3,6 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import spinforms.bases
 from spinforms.bases import (
     BasisSet,
     basis_from_orthogonal,
@@ -156,6 +157,18 @@ def test_basis_set_holds_one_read_only_matrix():
     assert basis.matrix()[0, 0] == 1.0
     with pytest.raises(ValueError):
         basis.matrix()[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("make, n", [(magic_basis, 4), (product_biortho_basis, 5)])
+def test_canonical_basis_stores_the_synthesized_matrix(monkeypatch, make, n):
+    made = []
+
+    def synthesize(n, coeffs):
+        made.append(canonical_synthesize(n, coeffs))
+        return made[-1]
+
+    monkeypatch.setattr(spinforms.bases, "canonical_synthesize", synthesize)
+    assert make(n).matrix() is made[-1]  # frozen and stored, not copied
 
 
 def test_basis_set_rejects_bad_shape_and_qubit_count():

@@ -40,6 +40,21 @@ def test_states_are_immutable():
         psi.amp[0] = 2.0
 
 
+def test_frozen_amplitudes_are_stored_as_given_and_others_copied():
+    psi = random_state(18, 3)
+    assert np.shares_memory(PureState(18, psi.amp).amp, psi.amp)
+    writable = psi.amp.copy()
+    state = PureState(18, writable)
+    assert not np.shares_memory(state.amp, writable)
+    writable[0] = 5.0
+    assert state.amp[0] == psi.amp[0]
+    # frozen but not owning its data, or of another dtype: copied
+    assert not np.shares_memory(PureState(17, psi.amp[::2]).amp, psi.amp)
+    real = np.ones(4)
+    real.setflags(write=False)
+    assert PureState(2, real).amp.dtype == np.complex128
+
+
 def test_hilbert_inner():
     zero, one = basis_state(1, 0), basis_state(1, 1)
     assert hilbert_inner(zero, zero) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,20 @@ def test_maxent_structure_check_examples():
     assert not maxent_structure_check(basis_state(4, 0b0011)).passed
     with pytest.raises(ValueError):
         maxent_structure_check(basis_state(3, 0))
+
+
+def test_maxent_structure_check_allocates_one_state_sized_array():
+    # the flip output is rotated and differenced in place; no e^{-2i theta} psi temporary
+    psi = maxent_generate(16, 0.3, np.full(1 << 16, 2.0**-8))
+    maxent_structure_check(psi)
+    tracemalloc.start()
+    try:
+        assert maxent_structure_check(psi).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the flip output, plus the real parts np.linalg.norm gathers for the half-sum (a quarter of it)
+    assert peak < 1.5 * psi.amp.nbytes
 
 
 def test_maxent_generate_first_magic_vector():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spinforms.bits import i_power, parity_signs
 from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
@@ -25,6 +28,7 @@ from spinforms.flip import (
     signed_reversal,
     spin_flip_matrix,
 )
+from spinforms.entanglement import tangle
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -200,11 +204,39 @@ def test_signed_reversal_definition():
     x = np.arange(1.0, 9.0)
     want = [(-1) ** bin(7 - k).count("1") * x[7 - k] for k in range(8)]
     np.testing.assert_array_equal(signed_reversal(x), want)
-    with pytest.raises(ValueError):
-        signed_reversal(np.ones(6))
+    for length in (0, 3, 6, 12, 3 << 13, (1 << 15) + 2):
+        with pytest.raises(ValueError):
+            signed_reversal(np.ones(length))
+        with pytest.raises(ValueError):
+            signed_reversal(np.ones((length, 2)))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _zero_bearing_state(n: int, seed: int) -> np.ndarray:
+    """Random amplitudes with signed zeros in both parts, so bit patterns are compared in full."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    x.real[::3], x.imag[1::5], x.real[2::7] = 0.0, -0.0, -0.0
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_kernels_match_the_full_mask_formula(n):
+    # the kernels sign tiles of the reversed input; the reference builds the whole 2^n mask
+    x, y = _zero_bearing_state(n, 60 + n), _zero_bearing_state(n, 80 + n)
+    signed = x[::-1] * parity_signs(n)[::-1]
+    flipped = flip_amplitudes(x)
+    np.testing.assert_array_equal(flipped.view(np.uint64), (np.conj(signed) * i_power(n)).view(np.uint64))
+    matrix = np.stack([x, y], axis=1)
+    want = matrix[::-1] * parity_signs(n)[::-1, None]
+    np.testing.assert_array_equal(signed_reversal(matrix).view(np.uint64), want.view(np.uint64))
+    psi, phi = PureState(n, x / np.linalg.norm(x)), PureState(n, y / np.linalg.norm(y))
+    form = np.dot(psi.amp[::-1] * parity_signs(n)[::-1], phi.amp) * i_power(-n)
+    assert abs(bilinear_form(psi, phi).value - form) <= 1e-14
+    self_form = np.dot(psi.amp[::-1] * parity_signs(n)[::-1], psi.amp)
+    assert abs(tangle(psi) - abs(self_form)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), 13, 14, 17])
 def test_signed_reversal_and_flip_act_column_by_column(n):
     rng = np.random.default_rng(40 + n)
     x = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
@@ -225,3 +257,33 @@ def test_flip_local_rejects_non_2x2():
     for a in (np.eye(3), np.eye(4), np.ones(2)):
         with pytest.raises(ValueError):
             flip_local(a)
+
+
+def _peak_bytes(call) -> int:
+    call()  # warm up, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_form_and_tangle_allocate_no_full_size_array():
+    n = 18
+    psi, phi = random_state(n, 90), random_state(n, 91)
+    # a sign mask would take half the state's bytes, a signed copy all of them
+    assert _peak_bytes(lambda: bilinear_form(psi, phi)) < psi.amp.nbytes / 8
+    assert _peak_bytes(lambda: tangle(psi)) < psi.amp.nbytes / 8
+
+
+def test_flip_allocates_little_beyond_its_output():
+    psi = random_state(18, 92)
+    assert _peak_bytes(lambda: flip_amplitudes(psi.amp)) <= 1.1 * psi.amp.nbytes
+    assert _peak_bytes(lambda: flip_state(psi)) <= 1.1 * psi.amp.nbytes
+
+
+def test_flip_state_keeps_its_frozen_output():
+    flipped = flip_state(random_state(5, 93))
+    assert not flipped.amp.flags.writeable
+    assert PureState(5, flipped.amp).amp is flipped.amp
