@@ -10,13 +10,13 @@ unitary-symplectic mix of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .bits import i_power, parity_signs
-from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _frozen_complex, _require_qubits
+from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _freeze, _frozen_complex, _require_qubits
 from .flip import FormKind, flip_amplitudes, signed_reversal
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
@@ -29,12 +29,16 @@ class BasisSet:
     """Ordered basis of n-qubit states held as one 2^n x 2^n matrix: column j is vector j.
 
     ``ordering`` documents the convention.  Being dense, a basis shares the
-    operator cap MAX_OPERATOR_QUBITS.
+    operator cap MAX_OPERATOR_QUBITS.  ``canonical`` is set only by magic_basis
+    and product_biortho_basis (it is not a constructor parameter): such a basis
+    is bi-orthonormal by construction, so it is never Gram-checked and is used
+    through the O(2^n) transforms; every other basis is checked.
     """
 
     n: int
     mat: np.ndarray
     ordering: str = ""
+    canonical: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
         _require_qubits(self.n, MAX_OPERATOR_QUBITS)
@@ -180,9 +184,9 @@ def _canonical_basis(n: int, ordering: str) -> BasisSet:
     """The dense canonical basis: canonical_synthesize applied to the identity."""
     _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
     # a bool identity: one byte per entry next to the 16-byte output
-    mat = canonical_synthesize(n, np.eye(1 << n, dtype=bool))
-    mat.setflags(write=False)  # BasisSet then stores it as given
-    return BasisSet(n, mat, ordering)
+    basis = BasisSet(n, _freeze(canonical_synthesize(n, np.eye(1 << n, dtype=bool))), ordering)
+    object.__setattr__(basis, "canonical", True)
+    return basis
 
 
 def gram_pair(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +219,8 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
 
 
 def _require_biorthonormal(basis: BasisSet, tol: Tolerances) -> None:
+    if basis.canonical:  # bi-orthonormal by construction
+        return
     report = check_biorthonormal(basis, tol)
     if not report.passed:
         raise ValueError(
@@ -224,9 +230,11 @@ def _require_biorthonormal(basis: BasisSet, tol: Tolerances) -> None:
 
 
 def state_coefficients(basis: BasisSet, psi: PureState) -> np.ndarray:
-    """Expansion coefficients of ``psi`` over a Hilbert-orthonormal basis."""
+    """Expansion coefficients of ``psi`` over a Hilbert-orthonormal basis; O(2^n) for a canonical basis."""
     if basis.n != psi.n:
         raise ValueError(f"qubit counts differ: basis {basis.n} vs state {psi.n}")
+    if basis.canonical:
+        return canonical_coefficients(psi.n, psi.amp)
     return basis.matrix().conj().T @ psi.amp
 
 
@@ -249,7 +257,7 @@ def _mix_canonical_basis(mix, kind: FormKind, tol: Tolerances, ordering: str) ->
         )
     if kind is FormKind.ORTHOGONAL:
         mix = mix.real  # unitary and complex orthogonal means real
-    return BasisSet(n, canonical_synthesize(n, mix.T), ordering)
+    return BasisSet(n, _freeze(canonical_synthesize(n, mix.T)), ordering)
 
 
 def basis_from_orthogonal(o: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:

@@ -70,6 +70,15 @@ def _frozen_complex(values, shape) -> np.ndarray:
     return arr
 
 
+def _freeze(fresh: np.ndarray) -> np.ndarray:
+    """Mark a fresh array (owning its data, held by no caller) read-only and return it.
+
+    PureState, GlobalOperator and BasisSet then store it as given, with no copy.
+    """
+    fresh.setflags(write=False)
+    return fresh
+
+
 @dataclass(frozen=True)
 class PureState:
     """Pure state of ``n`` qubits as a flat vector of 2^n complex amplitudes."""
@@ -148,29 +157,35 @@ def normalize(psi: PureState) -> PureState:
     norm = psi.norm()
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return PureState(psi.n, psi.amp / norm)
+    return PureState(psi.n, _freeze(psi.amp / norm))
 
 
 def tensor_states(psi: PureState, phi: PureState) -> PureState:
     """Product state; amplitude at a concatenated bit label is the product of amplitudes."""
-    return PureState(psi.n + phi.n, np.kron(psi.amp, phi.amp))
+    amp = np.empty(psi.dim * phi.dim, dtype=np.complex128)  # np.kron would return a view, which is copied
+    np.multiply(psi.amp[:, None], phi.amp, out=amp.reshape(psi.dim, phi.dim))
+    return PureState(psi.n + phi.n, _freeze(amp))
 
 
 def expand_local(local: LocalOperatorList) -> GlobalOperator:
     """Materialize A_1 (x) A_2 (x) ... (x) A_n as a dense matrix."""
     if local.n > MAX_OPERATOR_QUBITS:
         raise ValueError(f"dense operators are capped at {MAX_OPERATOR_QUBITS} qubits")
-    mat = np.eye(1, dtype=np.complex128)
+    mat = np.ones((1, 1), dtype=np.complex128)
     for a in local.ops:
-        mat = np.kron(mat, a)
-    return GlobalOperator(local.n, mat)
+        # kron(mat, a) written into an array of its own (np.kron returns a view, which would be copied)
+        h = mat.shape[0]
+        out = np.empty((2 * h, 2 * h), dtype=np.complex128)
+        np.multiply(mat[:, None, :, None], a[:, None, :], out=out.reshape(h, 2, h, 2))
+        mat = out
+    return GlobalOperator(local.n, _freeze(mat))
 
 
 def apply(op: GlobalOperator, psi: PureState) -> PureState:
     """Matrix-vector product ``op @ psi``."""
     if op.n != psi.n:
         raise ValueError(f"qubit counts differ: operator {op.n} vs state {psi.n}")
-    return PureState(psi.n, op.mat @ psi.amp)
+    return PureState(psi.n, _freeze(op.mat @ psi.amp))
 
 
 def random_state(n: int, seed: int | np.random.Generator) -> PureState:
@@ -182,7 +197,7 @@ def random_state(n: int, seed: int | np.random.Generator) -> PureState:
     """
     rng = np.random.default_rng(seed)
     z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return PureState(n, z / np.linalg.norm(z))
+    return PureState(n, _freeze(z / np.linalg.norm(z)))
 
 
 def random_operator(n: int, seed: int | np.random.Generator) -> GlobalOperator:
@@ -192,7 +207,7 @@ def random_operator(n: int, seed: int | np.random.Generator) -> GlobalOperator:
     """
     rng = np.random.default_rng(seed)
     dim = 1 << n
-    return GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return GlobalOperator(n, _freeze(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
 
 
 def random_sl2(seed: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
-from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _require_qubits
+from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _freeze, _require_qubits
 from .flip import _signed_dot, bilinear_form, flip_amplitudes
 
 
@@ -30,7 +30,7 @@ def _as_normalized(psi: PureState, tol: Tolerances) -> PureState:
             f"state norm^2 = {norm_sq:.12g} differs from 1; value computed with normalization factored out",
             stacklevel=3,
         )
-        return PureState(psi.n, psi.amp / np.sqrt(norm_sq))
+        return PureState(psi.n, _freeze(psi.amp / np.sqrt(norm_sq)))
     return psi
 
 
@@ -192,13 +192,14 @@ def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Max
         raise ValueError("maximal-entanglement checks require an even qubit count")
     psi = _as_normalized(psi, tol)
 
-    c = canonical_coefficients(psi.n, psi.amp)
-    form = complex(np.sum(c * c))  # the form itself, over a bi-orthonormal basis
+    c = canonical_coefficients(psi.n, psi.amp)  # fresh, so it is rotated in place
+    form = complex(np.dot(c, c))  # the form itself, over a bi-orthonormal basis (dot does not conjugate)
     tangle_gap = abs(abs(form) - 1.0)
     theta = float(np.angle(form) / 2.0) if form != 0 else None
-    rotated = c * np.exp(-1j * theta) if theta is not None else c
-    nu = rotated.real
-    phase_residual = float(np.linalg.norm(rotated.imag))
+    if theta is not None:
+        c *= np.exp(-1j * theta)
+    nu, y = c.real, c.imag
+    phase_residual = float(np.sqrt(np.dot(y, y)))  # ||y||, read in place (np.linalg.norm gathers a copy)
     passed = theta is not None and phase_residual <= tol.tol_residual
 
     structure = maxent_structure_check(psi, tol)
@@ -237,4 +238,4 @@ def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> 
         raise ValueError(f"nu must have unit square sum, got {square_sum:.12g}")
     amp = canonical_synthesize(n, nu)
     amp *= np.exp(1j * theta)
-    return PureState(n, amp)
+    return PureState(n, _freeze(amp))

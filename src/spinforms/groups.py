@@ -91,14 +91,16 @@ def represent_in_basis(
 ) -> np.ndarray:
     """Matrix of ``op`` in a bi-orthonormal basis: R[j, k] = <B_j | op B_k>.
 
-    No basis means the canonical basis V, bi-orthonormal by construction, so no Gram check runs:
+    No basis, or a canonical one (magic_basis, product_biortho_basis), means the canonical basis V,
+    bi-orthonormal by construction, so no Gram check runs:
     R = C(C(M)^H)^H = V^H M V with C = canonical_coefficients(n, .), in O(4^n).
+    Any other basis is Gram-checked and represented densely, in O(8^n).
     """
-    if basis is None:
+    if basis is not None and op.n != basis.n:
+        raise ValueError(f"qubit counts differ: operator {op.n} vs basis {basis.n}")
+    if basis is None or basis.canonical:
         half = canonical_coefficients(op.n, op.mat).conj().T  # (V^H M)^H = M^H V
         return canonical_coefficients(op.n, half).conj().T
-    if op.n != basis.n:
-        raise ValueError(f"qubit counts differ: operator {op.n} vs basis {basis.n}")
     _require_biorthonormal(basis, tol)
     v = basis.matrix()
     return v.conj().T @ op.mat @ v

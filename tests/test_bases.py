@@ -99,16 +99,19 @@ def test_product_basis_rejects_even_n():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
 def test_magic_coefficients_match_the_dense_basis(n):
-    psi = random_state(n, 300 + n).amp
-    dense = magic_basis(n).matrix().conj().T @ psi
-    np.testing.assert_allclose(canonical_coefficients(n, psi), dense, rtol=0, atol=1e-15)
+    psi, basis = random_state(n, 300 + n), magic_basis(n)
+    dense = basis.matrix().conj().T @ psi.amp
+    for coeffs in (canonical_coefficients(n, psi.amp), state_coefficients(basis, psi)):
+        np.testing.assert_allclose(coeffs, dense, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
 def test_product_coefficients_match_the_dense_basis(n):
     # a gather and a phase in {1, -1, i, -i}: no rounding, so equal to the dense product exactly
-    psi = random_state(n, 350 + n).amp
-    assert np.array_equal(canonical_coefficients(n, psi), product_biortho_basis(n).matrix().conj().T @ psi)
+    psi, basis = random_state(n, 350 + n), product_biortho_basis(n)
+    dense = basis.matrix().conj().T @ psi.amp
+    assert np.array_equal(canonical_coefficients(n, psi.amp), dense)
+    assert np.array_equal(state_coefficients(basis, psi), dense)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -358,3 +361,57 @@ def test_form_gram_matches_dense_form_on_every_column_pair(n):
     cols = [PureState(n, v) for v in basis.matrix().T]
     want = np.array([[bilinear_form_dense(a, b).value for b in cols] for a in cols])
     np.testing.assert_allclose(form, want, rtol=1e-13, atol=1e-12)
+
+
+def _canonical(n):
+    return magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
+
+
+def test_only_the_canonical_constructors_mark_a_basis(unmarked_copies):
+    for n in (2, 3):
+        assert _canonical(n).canonical
+        assert not any(copy.canonical for copy in unmarked_copies(_canonical(n)).values())
+    assert not basis_from_orthogonal(random_real_orthogonal(4, 1)).canonical
+    assert not basis_from_unitary_symplectic(random_unitary_symplectic(8, 2)).canonical
+    with pytest.raises(TypeError):
+        BasisSet(2, magic_basis(2).matrix(), canonical=True)  # not a constructor parameter
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_canonical_basis_reports_like_an_unmarked_copy(refuse_gram, n):
+    from spinforms.entanglement import amplitude_bound_check, tangle_result
+
+    basis, psi = magic_basis(n), random_state(n, 80 + n)
+    copy = BasisSet(n, basis.matrix(), basis.ordering)
+    want_bound, want_tangle = amplitude_bound_check(psi, copy), tangle_result(psi, copy)
+    refuse_gram()  # the canonical basis is not Gram-checked
+    bound, result = amplitude_bound_check(psi, basis), tangle_result(psi, basis)
+    assert bound.passed == want_bound.passed
+    for field in ("max_coeff_sq", "bound", "slack"):
+        assert abs(getattr(bound, field) - getattr(want_bound, field)) <= 1e-14
+    assert result.value == want_tangle.value and result.basis_used == want_tangle.basis_used
+    np.testing.assert_allclose(result.polygon, want_tangle.polygon, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(decompose_basis(basis), np.eye(1 << n), atol=1e-14)
+    with pytest.raises(AssertionError, match="Gram check"):
+        check_biorthonormal(basis)  # the explicit check always computes both Grams
+
+
+def test_unmarked_canonical_copies_are_gram_checked(refuse_gram, unmarked_copies):
+    from spinforms.entanglement import amplitude_bound_check, tangle_result
+
+    basis, psi = magic_basis(4), random_state(4, 90)
+    perturbed = basis.matrix().copy()
+    perturbed[0, 0] += 1e-6
+    for call in (amplitude_bound_check, tangle_result):
+        with pytest.raises(ValueError, match="not bi-orthonormal"):
+            call(psi, BasisSet(4, perturbed))
+    with pytest.raises(ValueError, match="not bi-orthonormal"):
+        decompose_basis(BasisSet(4, perturbed))
+    copies = unmarked_copies(basis)
+    refuse_gram()
+    for copy in copies.values():
+        for call in (amplitude_bound_check, tangle_result):
+            with pytest.raises(AssertionError, match="Gram check"):
+                call(psi, copy)
+        with pytest.raises(AssertionError, match="Gram check"):
+            decompose_basis(copy)

@@ -55,6 +55,59 @@ def test_frozen_amplitudes_are_stored_as_given_and_others_copied():
     assert PureState(2, real).amp.dtype == np.complex128
 
 
+def test_fresh_results_are_stored_without_a_copy(monkeypatch, tmp_path):
+    # every function that builds a fresh array freezes it, so the constructor does not copy it again
+    # (read_basis is left out: its file lists vectors as rows, and BasisSet copies them into columns)
+    import spinforms.bases as bases
+    import spinforms.core as core
+    from spinforms import entanglement, files, flip
+
+    local = LocalOperatorList(tuple(random_sl2(30 + q) for q in range(3)))
+    psi, op = random_state(3, 31), core.random_operator(3, 32)
+    unnormalized = PureState(3, 2 * psi.amp)
+    files.write_state(tmp_path / "s.json", psi)
+    files.write_operator(tmp_path / "o.json", op)
+    copied = []
+
+    def spy(values, shape):
+        stored = frozen_complex(values, shape)
+        if stored is not values:
+            copied.append(shape)
+        return stored
+
+    frozen_complex = core._frozen_complex
+    monkeypatch.setattr(core, "_frozen_complex", spy)
+    monkeypatch.setattr(bases, "_frozen_complex", spy)
+    random_state(3, 33)
+    core.random_operator(3, 34)
+    normalize(unnormalized)
+    apply(op, psi)
+    tensor_states(psi, psi)
+    expand_local(local)
+    flip.flip_operator(op)
+    flip.flip_state(psi)
+    entanglement.maxent_generate(2, 0.3, [0.6, 0.8, 0.0, 0.0])
+    files.read_state(tmp_path / "s.json")
+    files.read_operator(tmp_path / "o.json")
+    bases.magic_basis(2)
+    bases.basis_from_orthogonal(np.eye(4))
+    with pytest.warns(UserWarning, match="norm"):
+        entanglement._as_normalized(unnormalized, core.DEFAULT_TOL)
+    assert copied == []
+
+
+def test_expand_local_and_tensor_states_match_kron():
+    rng = np.random.default_rng(35)
+    for n in range(1, 7):
+        local = LocalOperatorList(tuple(random_sl2(int(s)) for s in rng.integers(0, 2**31, size=n)))
+        want = np.eye(1, dtype=complex)
+        for a in local.ops:
+            want = np.kron(want, a)
+        assert np.array_equal(expand_local(local).mat, want)
+        psi, phi = random_state(n, rng), random_state(2, rng)
+        assert np.array_equal(tensor_states(psi, phi).amp, np.kron(psi.amp, phi.amp))
+
+
 def test_hilbert_inner():
     zero, one = basis_state(1, 0), basis_state(1, 1)
     assert hilbert_inner(zero, zero) == 1

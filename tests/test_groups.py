@@ -85,17 +85,47 @@ def test_represent_requires_biorthonormal_basis():
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_canonical_representation_matches_the_dense_product(n):
-    # Ginibre operator: R = V^H M V with V the dense canonical basis
+def test_canonical_representation_matches_the_dense_product(refuse_gram, n):
+    # Ginibre operator: R = V^H M V with V the dense canonical basis, whether V is implied or passed
     rng = np.random.default_rng(600 + n)
     dim = 1 << n
     op = GlobalOperator(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    v = (magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)).matrix()
+    basis = magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
+    v = basis.matrix()
     dense = v.conj().T @ op.mat @ v
-    if n % 2 == 1:
-        assert np.array_equal(represent_in_basis(op), dense)  # phases in {1, -1, i, -i}: no rounding
-    else:
-        np.testing.assert_allclose(represent_in_basis(op), dense, rtol=0, atol=1e-14)
+    refuse_gram()  # the canonical basis is bi-orthonormal by construction
+    for rep in (represent_in_basis(op), represent_in_basis(op, basis)):
+        if n % 2 == 1:
+            assert np.array_equal(rep, dense)  # phases in {1, -1, i, -i}: no rounding
+        else:
+            np.testing.assert_allclose(rep, dense, rtol=0, atol=1e-14)
+
+
+def test_explicit_canonical_basis_still_checks_the_qubit_count():
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        represent_in_basis(GlobalOperator(2, np.eye(4)), product_biortho_basis(3))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unmarked_canonical_copies_are_gram_checked(refuse_gram, unmarked_copies, n):
+    from spinforms.bases import BasisSet
+
+    basis = magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
+    op = expand_local(sl2_list(n, 670 + n))
+    canonical_rep = represent_in_basis(op, basis)
+    copies = unmarked_copies(basis)
+    for name, copy in copies.items():
+        assert not copy.canonical, name
+        np.testing.assert_allclose(represent_in_basis(op, copy), canonical_rep, rtol=0, atol=1e-14)
+    perturbed = basis.matrix().copy()
+    perturbed[0, 0] += 1e-6
+    with pytest.raises(ValueError, match="not bi-orthonormal"):
+        represent_in_basis(op, BasisSet(n, perturbed))
+    refuse_gram()
+    represent_in_basis(op, basis)
+    for copy in copies.values():
+        with pytest.raises(AssertionError, match="Gram check"):
+            represent_in_basis(op, copy)
 
 
 def test_canonical_representation_builds_no_dense_basis(monkeypatch, tmp_path, capsys):
