@@ -45,6 +45,11 @@ class BasisSet:
         dim = 1 << self.n
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
+    def __reduce__(self):  # copies rebuild frozen; only a canonical basis rebuilds canonical
+        if self.canonical:
+            return _canonical_basis, (self.n, self.ordering)
+        return BasisSet, (self.n, self.mat, self.ordering)
+
     @property
     def dim(self) -> int:
         return 1 << self.n

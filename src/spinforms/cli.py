@@ -187,7 +187,6 @@ def _cmd_op(args) -> int:
             residuals={
                 "form_preservation": report.form_residual,
                 "unitarity": report.unitary_residual,
-                "basis_representation": report.basis_rep_residual,
             },
             values={
                 "n": op.n,

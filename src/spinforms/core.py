@@ -90,6 +90,9 @@ class PureState:
         _require_qubits(self.n, MAX_STATE_QUBITS)
         object.__setattr__(self, "amp", _frozen_complex(self.amp, (1 << self.n,)))
 
+    def __reduce__(self):
+        return PureState, (self.n, self.amp)
+
     @property
     def dim(self) -> int:
         return 1 << self.n
@@ -110,6 +113,9 @@ class GlobalOperator:
         dim = 1 << self.n
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
+    def __reduce__(self):
+        return GlobalOperator, (self.n, self.mat)
+
     @property
     def dim(self) -> int:
         return 1 << self.n
@@ -126,6 +132,9 @@ class LocalOperatorList:
             raise ValueError("local operator list must not be empty")
         frozen = tuple(_frozen_complex(a, (2, 2)) for a in self.ops)
         object.__setattr__(self, "ops", frozen)
+
+    def __reduce__(self):
+        return LocalOperatorList, (self.ops,)
 
     @property
     def n(self) -> int:

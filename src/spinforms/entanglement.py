@@ -48,9 +48,9 @@ def tangle(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def tangle_from_coefficients(coeffs) -> float:
-    """|sum_l c_l^2| for coefficients over a bi-orthonormal basis (even n)."""
+    """|sum_l c_l^2| for a vector of coefficients over a bi-orthonormal basis (even n)."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    return abs(complex(np.sum(c * c)))
+    return abs(complex(np.dot(c, c)))  # np.dot does not conjugate
 
 
 def polygon(coeffs) -> np.ndarray:
@@ -58,9 +58,9 @@ def polygon(coeffs) -> np.ndarray:
 
     The magnitude of the last point equals tangle_from_coefficients(c).
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    sums = np.cumsum(c * c)
-    return np.column_stack([sums.real, sums.imag])
+    sums = np.square(np.asarray(coeffs, dtype=np.complex128))
+    np.cumsum(sums, out=sums)
+    return sums.view(np.float64).reshape(-1, 2)  # (real, imag) per row
 
 
 def polygon_collinearity_residual(points: np.ndarray) -> float:

@@ -23,11 +23,7 @@ from .core import (
     expand_local,
     random_sl2,
 )
-from .flip import FormKind, flip_local, flip_operator
-
-# ||(det(A) - 1) I_2||_F = sqrt(2) |det(A) - 1|, so the flip criterion and the
-# determinant criterion are the same test up to this factor.
-DET_EQUIV_FACTOR = float(np.sqrt(2.0))
+from .flip import FormKind, flip_operator
 
 
 @dataclass(frozen=True)
@@ -45,45 +41,22 @@ def is_form_preserving(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> For
 
 
 @dataclass(frozen=True)
-class QubitFormCheck:
-    flip_residual: float
-    det: complex
-    det_gap: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class LocalFormReport:
-    per_qubit: tuple
-    criteria_agree: bool
+    dets: tuple
+    max_det_gap: float
     passed: bool
 
 
 def local_form_criterion(local: LocalOperatorList, tol: Tolerances = DEFAULT_TOL) -> LocalFormReport:
-    """Per-qubit form preservation: flip(A)^dag A = I, equivalently det A = 1.
+    """Per-factor form preservation: every factor in SL(2, C), i.e. |det A_i - 1| <= tol_residual.
 
-    flip(A)^dag A equals det(A) I exactly, so the two criteria must agree up
-    to DET_EQUIV_FACTOR; a disagreement is reported and counts as failure.
+    flip(A)^dag A = det(A) I exactly for a 2x2 A, so the determinant is the whole
+    per-qubit form test.  This judges each factor, not the product: (2I, I/2) fails here
+    although its product, the identity, is form-preserving.
     """
-    checks = []
-    agree = True
-    for a in local.ops:
-        flip_residual = float(np.linalg.norm(flip_local(a).conj().T @ a - np.eye(2)))
-        det = complex(np.linalg.det(a))
-        det_gap = abs(det - 1.0)
-        pass_flip = flip_residual <= DET_EQUIV_FACTOR * tol.tol_residual
-        pass_det = det_gap <= tol.tol_residual
-        agree = agree and (pass_flip == pass_det)
-        checks.append(
-            QubitFormCheck(
-                flip_residual=flip_residual, det=det, det_gap=det_gap, passed=pass_flip and pass_det
-            )
-        )
-    return LocalFormReport(
-        per_qubit=tuple(checks),
-        criteria_agree=agree,
-        passed=agree and all(c.passed for c in checks),
-    )
+    dets = np.linalg.det(np.stack(local.ops))
+    gap = float(np.max(np.abs(dets - 1.0)))
+    return LocalFormReport(dets=tuple(complex(d) for d in dets), max_det_gap=gap, passed=gap <= tol.tol_residual)
 
 
 def represent_in_basis(
@@ -104,16 +77,6 @@ def represent_in_basis(
     _require_biorthonormal(basis, tol)
     v = basis.matrix()
     return v.conj().T @ op.mat @ v
-
-
-def _renormalized_sl2(local: LocalOperatorList, tol: Tolerances) -> LocalOperatorList:
-    ops = []
-    for a in local.ops:
-        det = np.linalg.det(a)
-        if abs(det - 1.0) > tol.tol_residual:
-            raise ValueError(f"local factor has determinant {det}, expected 1")
-        ops.append(a / np.sqrt(det))
-    return LocalOperatorList(tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -142,7 +105,10 @@ def homomorphism_check(
     R(L L') - R(L) R(L') (the homomorphism property).  det R is reported but
     nothing is asserted about it.
     """
-    local = _renormalized_sl2(local, tol)
+    check = local_form_criterion(local, tol)
+    if not check.passed:
+        raise ValueError(f"local factors have determinants {check.dets}, expected 1")
+    local = LocalOperatorList(tuple(a / np.sqrt(d) for a, d in zip(local.ops, check.dets)))
     n = local.n
     kind = FormKind.for_qubits(n)
     r = represent_in_basis(expand_local(local))
@@ -197,29 +163,30 @@ class OperatorClassReport:
     unitary_residual: float
     is_form_preserving: bool
     form_residual: float
-    basis_rep_residual: float
     dets: tuple | None
 
 
 def classify_operator(
     op: GlobalOperator | LocalOperatorList, tol: Tolerances = DEFAULT_TOL
 ) -> OperatorClassReport:
-    """All-in-one classification: unitarity, form preservation, basis representation defect.
+    """All-in-one classification: unitarity and form preservation.
 
-    Per-factor determinants are reported for local inputs only.
+    The form residual equals the group defect of op's representation in a
+    bi-orthonormal basis (V and sigma_y^(x)n are unitary, so the Frobenius norms
+    agree), so no representation is built; ``op represent`` and homomorphism_check
+    report that defect.  Per-factor determinants (from local_form_criterion) are
+    reported for local inputs only.
     """
     dets = None
     if isinstance(op, LocalOperatorList):
-        dets = tuple(complex(np.linalg.det(a)) for a in op.ops)
+        dets = local_form_criterion(op, tol).dets
         op = expand_local(op)
     unitary_residual = unitarity_defect(op.mat)
     preservation = is_form_preserving(op, tol)
-    rep = represent_in_basis(op)
     return OperatorClassReport(
         is_unitary=unitary_residual <= tol.tol_residual,
         unitary_residual=unitary_residual,
         is_form_preserving=preservation.passed,
         form_residual=preservation.residual,
-        basis_rep_residual=form_defect(rep, FormKind.for_qubits(op.n)),
         dets=dets,
     )

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -375,6 +377,21 @@ def test_only_the_canonical_constructors_mark_a_basis(unmarked_copies):
     assert not basis_from_unitary_symplectic(random_unitary_symplectic(8, 2)).canonical
     with pytest.raises(TypeError):
         BasisSet(2, magic_basis(2).matrix(), canonical=True)  # not a constructor parameter
+
+
+@pytest.mark.parametrize(
+    "how", [copy.copy, copy.deepcopy, lambda basis: pickle.loads(pickle.dumps(basis))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_copies_and_pickles_of_a_basis_stay_frozen_and_keep_the_marker(unmarked_copies, how):
+    # a canonical basis rebuilds through the canonical constructor; any other basis through BasisSet
+    for n in (2, 3):
+        for basis in (_canonical(n), *unmarked_copies(_canonical(n)).values()):
+            copied = how(basis)
+            assert type(copied) is BasisSet
+            assert copied.canonical == basis.canonical
+            assert (copied.n, copied.ordering) == (basis.n, basis.ordering)
+            np.testing.assert_array_equal(copied.matrix(), basis.matrix())
+            assert not copied.matrix().flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])

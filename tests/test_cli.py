@@ -163,6 +163,8 @@ def test_op_random_local_and_classify(tmp_path, capsys):
     assert report["verdicts"]["form_preserving"] is True
     assert report["values"]["slocc"] == "NotObstructed"
     assert len(report["values"]["dets"]) == 2
+    # one residual per verdict: the representation defect is op represent's
+    assert set(report["residuals"]) == {"form_preservation", "unitarity"}
 
 
 def test_op_classify_scaled_identity_obstructed(tmp_path, capsys):

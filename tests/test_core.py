@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from spinforms.core import (
     hilbert_inner,
     make_state,
     normalize,
+    random_operator,
     random_sl2,
     random_state,
     random_su2,
@@ -38,6 +42,28 @@ def test_states_are_immutable():
     psi = make_state(1, [1, 0])
     with pytest.raises(ValueError):
         psi.amp[0] = 2.0
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_copies_and_pickles_stay_frozen(how):
+    # each value rebuilds through its constructor, so the copy's arrays are read-only again
+    for value, arrays in (
+        (random_state(3, 5), lambda v: [v.amp]),
+        (random_operator(2, 6), lambda v: [v.mat]),
+        (LocalOperatorList((random_sl2(7), random_su2(8))), lambda v: list(v.ops)),
+    ):
+        copied = COPIES[how](value)
+        assert type(copied) is type(value)
+        for got, want in zip(arrays(copied), arrays(value), strict=True):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
 
 def test_frozen_amplitudes_are_stored_as_given_and_others_copied():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinforms.bases import (
     basis_from_orthogonal,
+    canonical_coefficients,
     canonical_synthesize,
     magic_basis,
     random_real_orthogonal,
@@ -102,6 +103,18 @@ def test_basis_independence_of_coefficient_tangle():
         psi = random_state(4, 500 + seed)
         c = state_coefficients(basis, psi)
         assert tangle_from_coefficients(c) == pytest.approx(tangle(psi), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 6, 12])
+def test_squares_match_the_full_size_formulas(n):
+    # np.dot(c, c) and the in-place cumulative sum against sum(c * c) and cumsum(c * c)
+    for psi in (random_state(n, 90 + n), maxent_generate(n, 0.3, np.full(1 << n, 2.0 ** (-n / 2)))):
+        c = canonical_coefficients(n, psi.amp)
+        want = abs(complex(np.sum(c * c)))
+        # BLAS sums sequentially and np.sum pairwise: the a priori bound for N terms is N eps sum |c_l|^2
+        assert abs(tangle_from_coefficients(c) - want) <= c.size * np.finfo(float).eps * np.vdot(c, c).real
+        sums = np.cumsum(c * c)
+        np.testing.assert_allclose(polygon(c), np.column_stack([sums.real, sums.imag]), rtol=1e-15, atol=1e-15)
 
 
 def test_polygon_values():

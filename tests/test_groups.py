@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from spinforms.bases import canonical_j, magic_basis, product_biortho_basis
+from spinforms.bases import canonical_j, form_defect, magic_basis, product_biortho_basis
 from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
     PureState,
     expand_local,
+    random_operator,
     random_sl2,
     random_su2,
 )
-from spinforms.flip import bilinear_form, flip_local
+from spinforms.flip import FormKind, bilinear_form, flip_local
 from spinforms.groups import (
-    DET_EQUIV_FACTOR,
     classify_operator,
     homomorphism_check,
     is_form_preserving,
@@ -50,24 +50,46 @@ def test_scaled_identity_fails():
 
 def test_local_form_criterion():
     report = local_form_criterion(LocalOperatorList(tuple(random_su2(50 + i) for i in range(3))))
-    assert report.passed and report.criteria_agree
+    assert report.passed
+    assert report.max_det_gap <= 1e-12
 
     squeeze = local_form_criterion(LocalOperatorList((np.diag([2.0, 0.5]),)))
     assert squeeze.passed  # det 1, not unitary
 
     bad = local_form_criterion(LocalOperatorList((np.diag([2.0, 1.0]),)))
     assert not bad.passed
-    assert bad.per_qubit[0].det_gap == pytest.approx(1.0)
+    assert bad.dets == (2.0,)
+    assert bad.max_det_gap == pytest.approx(1.0)
 
 
-def test_flip_criterion_equals_det_criterion():
-    # flip(A)^dag A = det(A) I exactly, so the two residuals differ by sqrt(2)
+def test_local_form_criterion_judges_each_factor():
+    # (2I, I/2) is the identity, so the operator is form-preserving, but neither factor is in SL(2, C)
+    local = LocalOperatorList((2.0 * np.eye(2), 0.5 * np.eye(2)))
+    report = local_form_criterion(local)
+    assert not report.passed
+    assert report.dets == (4.0, 0.25)
+    assert report.max_det_gap == pytest.approx(3.0)
+    assert classify_operator(local).is_form_preserving
+
+
+def test_flip_local_adjoint_product_is_the_determinant():
+    # flip(A)^dag A = det(A) I exactly, which makes the determinant the whole per-qubit form test
     rng = np.random.default_rng(60)
     for _ in range(1000):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        flip_resid = np.linalg.norm(flip_local(a).conj().T @ a - np.eye(2))
-        det_gap = abs(np.linalg.det(a) - 1.0)
-        assert flip_resid == pytest.approx(DET_EQUIV_FACTOR * det_gap, abs=1e-10)
+        scale = max(1.0, float(np.linalg.norm(a)) ** 2)
+        np.testing.assert_allclose(
+            flip_local(a).conj().T @ a, np.linalg.det(a) * np.eye(2), rtol=0, atol=1e-14 * scale
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_representation_defect_is_the_form_residual(n):
+    # V and sigma_y^(x)n are unitary, so ||R^T T R - T||_F = ||flip(M)^dag M - I||_F for R = V^H M V
+    op = random_operator(n, 700 + n)
+    residual = is_form_preserving(op).residual
+    defect = form_defect(represent_in_basis(op), FormKind.for_qubits(n))
+    assert abs(defect - residual) <= 1e-12 * max(1.0, residual)
 
 
 def test_represent_identity():
@@ -145,8 +167,8 @@ def test_canonical_representation_builds_no_dense_basis(monkeypatch, tmp_path, c
     monkeypatch.setattr(groups, "_require_biorthonormal", refuse)
     for n in (2, 3):
         local = sl2_list(n, 650 + n)
-        assert classify_operator(local).basis_rep_residual <= 1e-10
-        assert classify_operator(expand_local(local)).basis_rep_residual <= 1e-10
+        assert classify_operator(local).form_residual <= 1e-10
+        assert classify_operator(expand_local(local)).form_residual <= 1e-10
         assert homomorphism_check(local, trials=2, seed=n).passed
         r = represent_in_basis(expand_local(local))
         assert bases.form_defect(r, groups.FormKind.for_qubits(n)) <= 1e-10
@@ -260,7 +282,8 @@ def test_classify_operator_global():
     assert report.is_unitary
     assert not report.is_form_preserving
     assert report.dets is None
-    assert report.basis_rep_residual > 1.0
+    assert report.form_residual > 1.0
+    assert form_defect(represent_in_basis(CNOT), FormKind.ORTHOGONAL) > 1.0
 
 
 def test_classify_operator_local():
@@ -269,4 +292,27 @@ def test_classify_operator_local():
     assert report.is_form_preserving
     assert report.dets is not None
     assert all(abs(d - 1.0) <= 1e-10 for d in report.dets)
-    assert report.basis_rep_residual <= 1e-10
+    assert report.dets == local_form_criterion(local).dets
+    assert report.form_residual <= 1e-10
+    assert form_defect(represent_in_basis(expand_local(local)), FormKind.ORTHOGONAL) <= 1e-10
+
+
+def test_classify_operator_runs_the_form_test_once(monkeypatch):
+    import spinforms.groups as groups
+
+    calls = []
+
+    def counted(op, tol):
+        calls.append(op)
+        return is_form_preserving(op, tol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_operator built a representation")
+
+    monkeypatch.setattr(groups, "is_form_preserving", counted)
+    monkeypatch.setattr(groups, "represent_in_basis", refuse)
+    monkeypatch.setattr(groups, "form_defect", refuse)
+    for op in (CNOT, sl2_list(3, 300)):
+        calls.clear()
+        classify_operator(op)
+        assert len(calls) == 1
