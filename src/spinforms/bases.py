@@ -16,15 +16,24 @@ from functools import reduce
 import numpy as np
 
 from .bits import i_power, parity_signs
-from .core import DEFAULT_TOL, MAX_OPERATOR_QUBITS, PureState, Tolerances, _freeze, _frozen_complex, _require_qubits
-from .flip import FormKind, flip_amplitudes, signed_reversal
+from .core import (
+    DEFAULT_TOL,
+    MAX_OPERATOR_QUBITS,
+    PureState,
+    Tolerances,
+    _freeze,
+    _frozen_complex,
+    _require_qubits,
+    _value_eq,
+)
+from .flip import FormKind, _form_gram, flip_amplitudes
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
 _S2 = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
     """Ordered basis of n-qubit states held as one 2^n x 2^n matrix: column j is vector j.
 
@@ -49,6 +58,8 @@ class BasisSet:
         if self.canonical:
             return _canonical_basis, (self.n, self.ordering)
         return BasisSet, (self.n, self.mat, self.ordering)
+
+    __eq__ = _value_eq  # canonical is left out (compare=False)
 
     @property
     def dim(self) -> int:
@@ -78,17 +89,32 @@ def canonical_j(dim: int) -> np.ndarray:
     return j
 
 
+def _minus_identity(gram: np.ndarray) -> np.ndarray:
+    """gram - I, in place on a square array the caller owns."""
+    diag = np.arange(gram.shape[0])
+    gram[diag, diag] -= 1.0
+    return gram
+
+
+def _minus_j(gram: np.ndarray) -> np.ndarray:
+    """gram - canonical_j, in place on a square array of even size the caller owns."""
+    even = np.arange(0, gram.shape[0], 2)
+    gram[even, even + 1] -= 1.0
+    gram[even + 1, even] += 1.0
+    return gram
+
+
 def unitarity_defect(x: np.ndarray) -> float:
     """||x^H x - I||_F: zero iff the square matrix x is unitary."""
-    return float(np.linalg.norm(x.conj().T @ x - np.eye(x.shape[0])))
+    return float(np.linalg.norm(_minus_identity(x.conj().T @ x)))
 
 
 def form_defect(x: np.ndarray, kind: FormKind) -> float:
     """||x^T T x - T||_F with T = I (orthogonal) or canonical J (symplectic): zero iff x is in the group."""
     if kind is FormKind.ORTHOGONAL:
-        return float(np.linalg.norm(x.T @ x - np.eye(x.shape[0])))
-    jx = np.stack([x[1::2], -x[0::2]], axis=1).reshape(x.shape)  # J x: a signed swap of each row pair
-    return float(np.linalg.norm(x.T @ jx - canonical_j(x.shape[0])))
+        return float(np.linalg.norm(_minus_identity(x.T @ x)))
+    pairs = x[0::2].T @ x[1::2]  # x^T J x = X - X^T with X over the row pairs (2m, 2m+1)
+    return float(np.linalg.norm(_minus_j(np.subtract(pairs, pairs.T))))
 
 
 def _magic_phases(n: int) -> np.ndarray:
@@ -198,7 +224,9 @@ def gram_pair(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
     """(Hilbert Gram, form Gram) of a basis (no verdict)."""
     v = basis.matrix()
     # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    return v.conj().T @ v, signed_reversal(v).T @ v * i_power(-basis.n)
+    form = _form_gram(v)
+    form *= i_power(-basis.n)
+    return v.conj().T @ v, form
 
 
 def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> BiorthoReport:
@@ -209,11 +237,11 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     order, both within tol_gram.
     """
     hilbert, form = gram_pair(basis)
-    kind, eye = FormKind.for_qubits(basis.n), np.eye(basis.dim)
+    kind = FormKind.for_qubits(basis.n)
     odd = kind is FormKind.SYMPLECTIC
-    target, target_name = (canonical_j(basis.dim), "canonical J") if odd else (eye, "identity")
-    h_resid = float(np.linalg.norm(hilbert - eye))
-    f_resid = float(np.linalg.norm(form - target))
+    minus_target, target_name = (_minus_j, "canonical J") if odd else (_minus_identity, "identity")
+    h_resid = float(np.linalg.norm(_minus_identity(hilbert)))
+    f_resid = float(np.linalg.norm(minus_target(form)))
     return BiorthoReport(
         passed=h_resid <= tol.tol_gram and f_resid <= tol.tol_gram,
         hilbert_residual=h_resid,

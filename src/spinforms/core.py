@@ -10,7 +10,7 @@ owning its data) is stored as given, and anything else is copied and frozen.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,7 +79,16 @@ def _freeze(fresh: np.ndarray) -> np.ndarray:
     return fresh
 
 
-@dataclass(frozen=True)
+def _value_eq(self, other) -> bool:
+    """Value equality for the array-holding types: the same type and every compared field (n, arrays,
+    tuples of arrays, ordering) equal by np.array_equal.  The generated dataclass __eq__ compares arrays
+    with == inside a tuple, which raises.  Defining __eq__ leaves __hash__ None: the types stay unhashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Pure state of ``n`` qubits as a flat vector of 2^n complex amplitudes."""
 
@@ -93,6 +102,8 @@ class PureState:
     def __reduce__(self):
         return PureState, (self.n, self.amp)
 
+    __eq__ = _value_eq
+
     @property
     def dim(self) -> int:
         return 1 << self.n
@@ -101,7 +112,7 @@ class PureState:
         return float(np.linalg.norm(self.amp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalOperator:
     """Dense 2^n x 2^n operator; rows/columns indexed like PureState amplitudes."""
 
@@ -116,12 +127,14 @@ class GlobalOperator:
     def __reduce__(self):
         return GlobalOperator, (self.n, self.mat)
 
+    __eq__ = _value_eq
+
     @property
     def dim(self) -> int:
         return 1 << self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperatorList:
     """Ordered list of 2x2 operators A_1, ..., A_n, one per qubit (A_1 acts on the MSB)."""
 
@@ -135,6 +148,8 @@ class LocalOperatorList:
 
     def __reduce__(self):
         return LocalOperatorList, (self.ops,)
+
+    __eq__ = _value_eq
 
     @property
     def n(self) -> int:
@@ -176,18 +191,23 @@ def tensor_states(psi: PureState, phi: PureState) -> PureState:
     return PureState(psi.n + phi.n, _freeze(amp))
 
 
-def expand_local(local: LocalOperatorList) -> GlobalOperator:
-    """Materialize A_1 (x) A_2 (x) ... (x) A_n as a dense matrix."""
-    if local.n > MAX_OPERATOR_QUBITS:
-        raise ValueError(f"dense operators are capped at {MAX_OPERATOR_QUBITS} qubits")
+def _kron(factors) -> np.ndarray:
+    """A_1 (x) A_2 (x) ... (x) A_n of 2x2 factors, as a fresh writable complex128 array."""
     mat = np.ones((1, 1), dtype=np.complex128)
-    for a in local.ops:
+    for a in factors:
         # kron(mat, a) written into an array of its own (np.kron returns a view, which would be copied)
         h = mat.shape[0]
         out = np.empty((2 * h, 2 * h), dtype=np.complex128)
         np.multiply(mat[:, None, :, None], a[:, None, :], out=out.reshape(h, 2, h, 2))
         mat = out
-    return GlobalOperator(local.n, _freeze(mat))
+    return mat
+
+
+def expand_local(local: LocalOperatorList) -> GlobalOperator:
+    """Materialize A_1 (x) A_2 (x) ... (x) A_n as a dense matrix."""
+    if local.n > MAX_OPERATOR_QUBITS:
+        raise ValueError(f"dense operators are capped at {MAX_OPERATOR_QUBITS} qubits")
+    return GlobalOperator(local.n, _freeze(_kron(local.ops)))
 
 
 def apply(op: GlobalOperator, psi: PureState) -> PureState:

@@ -86,6 +86,18 @@ def signed_reversal(x) -> np.ndarray:
     return out
 
 
+def _form_gram(x: np.ndarray) -> np.ndarray:
+    """signed_reversal(x)^T x for 2^n rows of columns, as X^T + (-1)^n X with half the flops.
+
+    X = x[::-1][:h]^T (s * x[:h]) with h = 2^(n-1) and s = parity_signs(n-1): the rows
+    k >= h of the full product contribute X^T, the rows k < h contribute (-1)^n X.
+    """
+    h = x.shape[0] // 2
+    n = h.bit_length()
+    half = x[::-1][:h].T @ (parity_signs(n - 1)[:, None] * x[:h])
+    return np.add(half.T, half) if n % 2 == 0 else np.subtract(half.T, half)
+
+
 def flip_amplitudes(x) -> np.ndarray:
     """Spin flip sigma_y^(x)n conj(x) of amplitude vectors along axis 0, in one pass per column.
 

@@ -14,16 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, form_defect, unitarity_defect
+from .bases import (
+    BasisSet,
+    _minus_identity,
+    _require_biorthonormal,
+    canonical_coefficients,
+    form_defect,
+    unitarity_defect,
+)
+from .bits import parity_signs
 from .core import (
     DEFAULT_TOL,
     GlobalOperator,
     LocalOperatorList,
     Tolerances,
+    _kron,
     expand_local,
     random_sl2,
 )
-from .flip import FormKind, flip_operator
+from .flip import FormKind, _form_gram
 
 
 @dataclass(frozen=True)
@@ -33,10 +42,17 @@ class FormPreservation:
 
 
 def is_form_preserving(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> FormPreservation:
-    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi)."""
-    residual = float(
-        np.linalg.norm(flip_operator(op).mat.conj().T @ op.mat - np.eye(op.dim))
-    )
+    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi).
+
+    With R = signed_reversal(I), flip(M)^dag M = R G for the form Gram G = (R M)^T M of M's
+    columns, and R is a signed permutation, so the residual is ||G - R^T||_F.  G is symmetric
+    (even n) or antisymmetric (odd n) and is computed as one half-size product; R^T is s[j] at
+    (j, ~j) with s = parity_signs(n), subtracted in place.
+    """
+    gram = _form_gram(op.mat)
+    rows = np.arange(op.dim)
+    gram[rows, rows[::-1]] -= parity_signs(op.n)
+    residual = float(np.linalg.norm(gram))
     return FormPreservation(passed=residual <= tol.tol_residual, residual=residual)
 
 
@@ -174,14 +190,18 @@ def classify_operator(
     The form residual equals the group defect of op's representation in a
     bi-orthonormal basis (V and sigma_y^(x)n are unitary, so the Frobenius norms
     agree), so no representation is built; ``op represent`` and homomorphism_check
-    report that defect.  Per-factor determinants (from local_form_criterion) are
-    reported for local inputs only.
+    report that defect.  A local list's unitarity comes from its factors,
+    M^dag M = (x) A_i^dag A_i, in O(4^n); its form test runs on the expanded matrix.
+    Per-factor determinants (from local_form_criterion) are reported for local inputs only.
     """
     dets = None
     if isinstance(op, LocalOperatorList):
         dets = local_form_criterion(op, tol).dets
-        op = expand_local(op)
-    unitary_residual = unitarity_defect(op.mat)
+        factors = op.ops
+        op = expand_local(op)  # checks the operator cap before any 2^n x 2^n array
+        unitary_residual = float(np.linalg.norm(_minus_identity(_kron(a.conj().T @ a for a in factors))))
+    else:
+        unitary_residual = unitarity_defect(op.mat)
     preservation = is_form_preserving(op, tol)
     return OperatorClassReport(
         is_unitary=unitary_residual <= tol.tol_residual,

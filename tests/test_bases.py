@@ -27,6 +27,7 @@ from spinforms.bases import (
 )
 from spinforms.core import (
     MAX_STATE_QUBITS,
+    GlobalOperator,
     LocalOperatorList,
     PureState,
     basis_state,
@@ -35,8 +36,8 @@ from spinforms.core import (
     random_state,
     random_su2,
 )
-from spinforms.bits import index_to_bits
-from spinforms.flip import FormKind, bilinear_form_dense, flip_state
+from spinforms.bits import i_power, index_to_bits
+from spinforms.flip import FormKind, bilinear_form_dense, flip_state, signed_reversal
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -273,6 +274,46 @@ def test_symplectic_form_defect_matches_the_dense_j_product(n):
         assert form_defect(x, FormKind.SYMPLECTIC) == pytest.approx(dense, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_symplectic_form_defect_matches_the_signed_swap_product(n):
+    # x^T (J x) with J x the signed swap of each row pair, as one full-size product
+    dim = 1 << n
+    rng = np.random.default_rng(520 + n)
+    for x in (rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))):
+        jx = np.stack([x[1::2], -x[0::2]], axis=1).reshape(x.shape)
+        want = np.linalg.norm(x.T @ jx - canonical_j(dim))
+        assert abs(form_defect(x, FormKind.SYMPLECTIC) - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_form_gram_matches_the_full_signed_reversal_product(n):
+    dim = 1 << n
+    rng = np.random.default_rng(540 + n)
+    v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    want = signed_reversal(v).T @ v * i_power(-n)
+    hilbert, form = gram_pair(BasisSet(n, v))
+    np.testing.assert_allclose(form, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(hilbert, v.conj().T @ v, rtol=0, atol=1e-12 * np.abs(hilbert).max())
+
+
+def test_defects_build_no_dense_target(monkeypatch):
+    # I, J and the anti-diagonal are subtracted in place on the Gram, never allocated at 2^n x 2^n
+    bases = [magic_basis(4), product_biortho_basis(3), basis_from_unitary_symplectic(random_unitary_symplectic(8, 9))]
+    want = [check_biorthonormal(b) for b in bases]
+    x, o = random_unitary_symplectic(8, 10), random_real_orthogonal(8, 11)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense target built")
+
+    monkeypatch.setattr(np, "eye", refuse)
+    monkeypatch.setattr(np, "identity", refuse)
+    monkeypatch.setattr(spinforms.bases, "canonical_j", refuse)
+    assert [check_biorthonormal(b) for b in bases] == want
+    assert unitarity_defect(x) <= 1e-12
+    assert form_defect(x, FormKind.SYMPLECTIC) <= 1e-12
+    assert form_defect(o, FormKind.ORTHOGONAL) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_form_defect(n):
     dim = 1 << n
@@ -367,6 +408,22 @@ def test_form_gram_matches_dense_form_on_every_column_pair(n):
 
 def _canonical(n):
     return magic_basis(n) if n % 2 == 0 else product_biortho_basis(n)
+
+
+def test_bases_compare_by_value(unmarked_copies):
+    # equal n, ordering and matrix; the canonical marker is left out of the comparison
+    for n in (2, 3):
+        basis = _canonical(n)
+        assert basis == _canonical(n) and not basis != _canonical(n)
+        assert basis == BasisSet(n, basis.matrix().copy(), basis.ordering)
+        assert basis == unmarked_copies(basis)["replace"]
+        assert basis != BasisSet(n, basis.matrix())  # no ordering
+        assert basis != BasisSet(n, -basis.matrix(), basis.ordering)
+        assert basis != _canonical(n + 1)
+        with pytest.raises(TypeError):
+            hash(basis)
+    assert BasisSet(1, np.eye(2)) != GlobalOperator(1, np.eye(2))  # same field names, another type
+    assert BasisSet(1, np.eye(2)) != None  # noqa: E711
 
 
 def test_only_the_canonical_constructors_mark_a_basis(unmarked_copies):

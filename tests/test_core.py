@@ -66,6 +66,31 @@ def test_copies_and_pickles_stay_frozen(how):
             assert not got.flags.writeable
 
 
+def test_values_compare_by_value():
+    state, op = random_state(2, 1), random_operator(2, 2)
+    local = LocalOperatorList((random_sl2(3), random_su2(4)))
+    for value, same, others in (
+        (state, PureState(2, state.amp.copy()), [random_state(2, 2), PureState(1, state.amp[:2])]),
+        (op, GlobalOperator(2, op.mat.copy()), [GlobalOperator(2, 2.0 * op.mat), random_operator(1, 2)]),
+        (
+            local,
+            LocalOperatorList(tuple(a.copy() for a in local.ops)),
+            [LocalOperatorList(local.ops[::-1]), LocalOperatorList(local.ops[:1]), LocalOperatorList(local.ops * 2)],
+        ),
+    ):
+        assert value == same and not value != same
+        assert value == copy.deepcopy(value)
+        for other in others:
+            assert value != other and not value == other
+        with pytest.raises(TypeError):
+            hash(value)  # unhashable, as before
+    one = np.eye(2)
+    cross = [PureState(2, [1, 0, 0, 0]), GlobalOperator(1, one), LocalOperatorList((one,)), None, 1]
+    for i, a in enumerate(cross):
+        for b in cross[i + 1 :]:
+            assert a != b and b != a
+
+
 def test_frozen_amplitudes_are_stored_as_given_and_others_copied():
     psi = random_state(18, 3)
     assert np.shares_memory(PureState(18, psi.amp).amp, psi.amp)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinforms.bases import canonical_j, form_defect, magic_basis, product_biortho_basis
+from spinforms.bases import canonical_j, form_defect, magic_basis, product_biortho_basis, unitarity_defect
 from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
@@ -11,7 +13,7 @@ from spinforms.core import (
     random_sl2,
     random_su2,
 )
-from spinforms.flip import FormKind, bilinear_form, flip_local
+from spinforms.flip import FormKind, bilinear_form, flip_local, spin_flip_matrix
 from spinforms.groups import (
     classify_operator,
     homomorphism_check,
@@ -46,6 +48,41 @@ def test_scaled_identity_fails():
     assert not check.passed
     # flip(2I)^dag 2I = 4I, so the defect is ||3I||_F
     assert check.residual == pytest.approx(3.0 * 2.0)
+
+
+def local_list(draw, n, seed):
+    return LocalOperatorList(tuple(draw(seed + i) for i in range(n)))
+
+
+# operator families for the form test: name -> (n, seed) -> GlobalOperator
+FAMILIES = {
+    "ginibre": random_operator,
+    "sl2": lambda n, seed: expand_local(local_list(random_sl2, n, seed)),
+    "su2": lambda n, seed: expand_local(local_list(random_su2, n, seed)),
+    "cnot": lambda n, seed: GlobalOperator(max(n, 2), np.kron(CNOT.mat, np.eye(1 << max(n - 2, 0)))),
+    "doubled_sl2": lambda n, seed: GlobalOperator(n, 2.0 * expand_local(local_list(random_sl2, n, seed)).mat),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2**32))
+def test_form_residual_matches_the_dense_oracle(n, family, seed):
+    # the half-size form Gram against ||flip(M)^dag M - I||_F with flip(M) = Y conj(M) Y built densely
+    op = FAMILIES[family](n, seed)
+    y = spin_flip_matrix(op.n)
+    dense = float(np.linalg.norm((y @ op.mat.conj() @ y).conj().T @ op.mat - np.eye(op.dim)))
+    residual = is_form_preserving(op).residual
+    assert abs(residual - dense) <= 1e-12 * max(1.0, dense)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_local_unitarity_from_the_factors_matches_the_expanded_matrix(n):
+    lists = [local_list(random_sl2, n, 900 + n), local_list(random_su2, n, 950 + n), stretched_local(n)]
+    for local in lists:
+        residual = classify_operator(local).unitary_residual
+        dense = unitarity_defect(expand_local(local).mat)
+        assert abs(residual - dense) <= 1e-12 * max(1.0, dense)
+    assert classify_operator(lists[1]).is_unitary  # SU(2) factors
 
 
 def test_local_form_criterion():
