@@ -220,15 +220,6 @@ def _canonical_basis(n: int, ordering: str) -> BasisSet:
     return basis
 
 
-def gram_pair(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
-    """(Hilbert Gram, form Gram) of a basis (no verdict)."""
-    v = basis.matrix()
-    # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    form = _form_gram(v)
-    form *= i_power(-basis.n)
-    return v.conj().T @ v, form
-
-
 def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> BiorthoReport:
     """Verdict on bi-orthonormality.
 
@@ -236,11 +227,14 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     identity (even n) or the canonical block J (odd n) in the basis's given
     order, both within tol_gram.
     """
-    hilbert, form = gram_pair(basis)
+    v = basis.matrix()
     kind = FormKind.for_qubits(basis.n)
     odd = kind is FormKind.SYMPLECTIC
     minus_target, target_name = (_minus_j, "canonical J") if odd else (_minus_identity, "identity")
-    h_resid = float(np.linalg.norm(_minus_identity(hilbert)))
+    # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
+    form = _form_gram(v)
+    form *= i_power(-basis.n)
+    h_resid = unitarity_defect(v)
     f_resid = float(np.linalg.norm(minus_target(form)))
     return BiorthoReport(
         passed=h_resid <= tol.tol_gram and f_resid <= tol.tol_gram,

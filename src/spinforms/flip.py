@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .bits import i_power, parity_signs
-from .core import DEFAULT_TOL, GlobalOperator, PureState, Tolerances, _freeze, random_state
+from .core import GlobalOperator, PureState, _freeze
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -151,45 +151,10 @@ def flip_operator(op: GlobalOperator) -> GlobalOperator:
     conj(M)[~a, ~b]; no matmul.
     """
     signs = parity_signs(op.n)
-    flipped = np.conj(op.mat)[::-1, ::-1] * np.outer(signs, signs)
+    flipped = np.conj(op.mat[::-1, ::-1])  # a new C-contiguous array, signed in place
+    flipped *= signs[:, None]
+    flipped *= signs
     return GlobalOperator(op.n, _freeze(flipped))
-
-
-@dataclass(frozen=True)
-class FormParityReport:
-    """Outcome of sampling form(psi, phi) - s*form(phi, psi) over random pairs."""
-
-    n: int
-    kind: FormKind
-    trials: int
-    seed: int | np.random.Generator
-    max_residual: float
-    passed: bool
-
-
-def form_parity_check(
-    n: int, trials: int = 100, seed: int | np.random.Generator = 0, tol: Tolerances = DEFAULT_TOL
-) -> FormParityReport:
-    """Verify the exchange symmetry of the form on random state pairs.
-
-    A ``np.random.Generator`` as ``seed`` is used as is, so several calls can
-    share one stream.
-    """
-    rng = np.random.default_rng(seed)
-    sign = FormKind.for_qubits(n).exchange_sign
-    worst = 0.0
-    for _ in range(trials):
-        psi, phi = random_state(n, rng), random_state(n, rng)
-        gap = abs(bilinear_form(psi, phi).value - sign * bilinear_form(phi, psi).value)
-        worst = max(worst, gap)
-    return FormParityReport(
-        n=n,
-        kind=FormKind.for_qubits(n),
-        trials=trials,
-        seed=seed,
-        max_residual=worst,
-        passed=worst <= tol.tol_residual,
-    )
 
 
 # --- dense sigma_y^(x)n oracle -------------------------------------------------

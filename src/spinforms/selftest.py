@@ -79,9 +79,14 @@ def check_oracle_equivalence(
 def check_form_parity(ns, trials: int, seed: int, *, tol: float = 1e-12) -> CheckResult:
     """form(psi, phi) = (-1)^n form(phi, psi) on random pairs, one stream across all n."""
     rng = np.random.default_rng(seed)
-    reports = [flip.form_parity_check(n, trials, rng, core.Tolerances(tol_residual=tol)) for n in ns]
-    worst = max(r.max_residual for r in reports)
-    return CheckResult("form-parity", all(r.passed for r in reports), f"max exchange residual {worst:.2e}")
+    worst = 0.0
+    for n in ns:
+        sign = flip.FormKind.for_qubits(n).exchange_sign
+        for _ in range(trials):
+            psi, phi = core.random_state(n, rng), core.random_state(n, rng)
+            gap = abs(flip.bilinear_form(psi, phi).value - sign * flip.bilinear_form(phi, psi).value)
+            worst = max(worst, gap)
+    return CheckResult("form-parity", worst <= tol, f"max exchange residual {worst:.2e}")
 
 
 def check_operator_algebra(trials: int, max_n: int, seed: int, *, tol: float = 1e-10) -> CheckResult:
@@ -211,23 +216,15 @@ def check_even_homomorphism(
 
 
 def check_odd_homomorphism(
-    ns, draws: int, partners: int, local_seed: int, partner_seed: int,
-    one_qubit_draws: int, one_qubit_seed: int, *, tol: float = 1e-8,
+    ns, draws: int, partners: int, local_seed: int, partner_seed: int, *, tol: float = 1e-8
 ) -> CheckResult:
-    """SL(2)^(x)n in the product basis is symplectic and multiplicative (odd n).
-
-    The 1-qubit case represents SL(2) over {i|0>, |1>} directly.
-    """
+    """SL(2)^(x)n in the product basis is symplectic and multiplicative (odd n, 1 included)."""
     worst_form, worst_mult = _homomorphism_residuals(ns, draws, partners, local_seed, partner_seed)
-    one_qubit = 0.0
-    for i in range(one_qubit_draws):
-        local = core.LocalOperatorList((core.random_sl2(one_qubit_seed + i),))
-        r = groups.represent_in_basis(core.expand_local(local))  # the canonical basis {i|0>, |1>}
-        one_qubit = max(one_qubit, bases.form_defect(r, flip.FormKind.SYMPLECTIC))
     return CheckResult(
         "odd-homomorphism",
-        worst_form <= tol and worst_mult <= tol and one_qubit <= tol,
-        f"symplecticity {worst_form:.2e}, multiplicativity {worst_mult:.2e}, 1-qubit case {one_qubit:.2e}",
+        worst_form <= tol and worst_mult <= tol,
+        f"symplecticity {worst_form:.2e}, multiplicativity {worst_mult:.2e}, "
+        f"{draws} draws per n in {tuple(ns)}",
     )
 
 
@@ -361,21 +358,16 @@ def check_sl_invariance(ns, draws: int, local_seed: int, seed: int, *, tol: floa
     )
 
 
-def check_performance(
-    n: int, oracle_n: int, seed: int, *, budget_s: float = 1.0, tol_value: float = 1e-10, tol: float = 1e-12
-) -> CheckResult:
-    """An n-qubit tangle within the time budget and in [0, 1]; the form at oracle_n against the oracle."""
-    rng = np.random.default_rng(seed)
-    psi = core.random_state(n, rng)
+def check_performance(n: int, seed: int, *, budget_s: float = 1.0, tol_value: float = 1e-10) -> CheckResult:
+    """An n-qubit tangle within the time budget and in [0, 1] (the oracle comparison is check 01)."""
+    psi = core.random_state(n, seed)
     start = time.perf_counter()
     value = entanglement.tangle(psi)
     elapsed = time.perf_counter() - start
-    psi_o, phi_o = core.random_state(oracle_n, rng), core.random_state(oracle_n, rng)
-    oracle_gap = abs(flip.bilinear_form(psi_o, phi_o).value - flip.bilinear_form_dense(psi_o, phi_o).value)
     return CheckResult(
         "performance",
-        0.0 <= value <= 1.0 + tol_value and elapsed < budget_s and oracle_gap <= tol,
-        f"n={n} tangle in {elapsed * 1e3:.0f} ms, n={oracle_n} oracle gap {oracle_gap:.2e}",
+        0.0 <= value <= 1.0 + tol_value and elapsed < budget_s,
+        f"n={n} tangle in {elapsed * 1e3:.0f} ms",
     )
 
 
@@ -395,15 +387,12 @@ def run_selftest(level: str = "quick", seed: int = 0) -> list[CheckResult]:
         check_magic_basis((2, 4, 6) if full else (2, 4), (1, 3, 5) if full else (1, 3)),
         check_orthogonal_round_trip((2, 4) if full else (2,), 50 if full else 10, 5, seed + 1000),
         check_even_homomorphism((2, 4) if full else (2,), 20 if full else 3, 3, seed + 2000, seed + 3000),
-        check_odd_homomorphism(
-            (1, 3, 5) if full else (1, 3), 20 if full else 3, 3, seed + 4000, seed + 5000,
-            100 if full else 10, seed + 6000,
-        ),
+        check_odd_homomorphism((1, 3, 5) if full else (1, 3), 20 if full else 3, 3, seed + 4000, seed + 5000),
         check_unitary_symplectic_bases((1, 3), 50 if full else 10, seed + 7000),
         check_coefficient_tangle((2, 4) if full else (2,), 10 if full else 3, 100 if full else 20, seed + 8000, seed + 9),
         check_golden_values(seed + 10),
         check_maxent_coherence((2, 4) if full else (2,), 200 if full else 25, seed + 11),
         check_amplitude_inequality((2, 4) if full else (2,), 1000 if full else 100, seed + 12),
         check_sl_invariance((2, 4) if full else (2,), 50 if full else 10, seed + 9000, seed + 13),
-        check_performance(20 if full else 16, 8 if full else 4, seed + 14),
+        check_performance(20 if full else 16, seed + 14),
     ]

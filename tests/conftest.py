@@ -25,9 +25,9 @@ def unmarked_copies(tmp_path):
 
 @pytest.fixture
 def refuse_gram(monkeypatch):
-    """A call that makes every later Gram computation raise AssertionError("Gram check")."""
+    """A call that makes every later bi-orthonormality Gram check raise AssertionError("Gram check")."""
 
-    def gram_check(basis):
+    def gram_check(x):
         raise AssertionError("Gram check")
 
-    return lambda: monkeypatch.setattr(spinforms.bases, "gram_pair", gram_check)
+    return lambda: monkeypatch.setattr(spinforms.bases, "_form_gram", gram_check)

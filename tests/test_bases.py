@@ -16,7 +16,6 @@ from spinforms.bases import (
     check_biorthonormal,
     decompose_basis,
     form_defect,
-    gram_pair,
     magic_basis,
     product_biortho_basis,
     random_real_orthogonal,
@@ -37,9 +36,14 @@ from spinforms.core import (
     random_su2,
 )
 from spinforms.bits import i_power, index_to_bits
-from spinforms.flip import FormKind, bilinear_form_dense, flip_state, signed_reversal
+from spinforms.flip import FormKind, _form_gram, bilinear_form_dense, flip_state, signed_reversal
 
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def _form_gram_of(basis):
+    """form(v_a, v_b) over the basis's columns, as check_biorthonormal computes it."""
+    return _form_gram(basis.matrix()) * i_power(-basis.n)
 
 
 def test_magic_basis_two_qubits():
@@ -83,7 +87,7 @@ def test_product_basis_single_qubit():
     basis = product_biortho_basis(1)
     np.testing.assert_array_equal(basis.matrix()[:, 0], [1j, 0])
     np.testing.assert_array_equal(basis.matrix()[:, 1], [0, 1])
-    np.testing.assert_allclose(gram_pair(basis)[1], [[0, 1], [-1, 0]], atol=1e-15)
+    np.testing.assert_allclose(_form_gram_of(basis), [[0, 1], [-1, 0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -92,7 +96,7 @@ def test_product_basis_biorthonormal(n):
     assert all(abs(np.linalg.norm(v) - 1.0) < 1e-14 for v in basis.matrix().T)
     report = check_biorthonormal(basis)
     assert report.passed
-    np.testing.assert_allclose(gram_pair(basis)[1], canonical_j(1 << n), atol=1e-14)
+    np.testing.assert_allclose(_form_gram_of(basis), canonical_j(1 << n), atol=1e-14)
 
 
 def test_product_basis_rejects_even_n():
@@ -198,7 +202,7 @@ def test_computational_basis_is_not_biorthonormal():
     assert not report.passed
     assert report.hilbert_residual <= 1e-14
     # the form Gram of the computational basis is anti-diagonal, not identity
-    form = gram_pair(basis)[1]
+    form = _form_gram_of(basis)
     np.testing.assert_allclose(np.abs(form), np.fliplr(np.eye(4)), atol=1e-14)
 
 
@@ -291,9 +295,12 @@ def test_form_gram_matches_the_full_signed_reversal_product(n):
     rng = np.random.default_rng(540 + n)
     v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     want = signed_reversal(v).T @ v * i_power(-n)
-    hilbert, form = gram_pair(BasisSet(n, v))
-    np.testing.assert_allclose(form, want, rtol=0, atol=1e-12 * np.abs(want).max())
-    np.testing.assert_allclose(hilbert, v.conj().T @ v, rtol=0, atol=1e-12 * np.abs(hilbert).max())
+    np.testing.assert_allclose(_form_gram_of(BasisSet(n, v)), want, rtol=0, atol=1e-12 * np.abs(want).max())
+    report = check_biorthonormal(BasisSet(n, v))
+    target = canonical_j(dim) if n % 2 else np.eye(dim)
+    want_hilbert = np.linalg.norm(v.conj().T @ v - np.eye(dim))
+    assert abs(report.hilbert_residual - want_hilbert) <= 1e-12 * want_hilbert
+    assert abs(report.form_residual - np.linalg.norm(want - target)) <= 1e-12 * np.abs(want).max()
 
 
 def test_defects_build_no_dense_target(monkeypatch):
@@ -400,7 +407,7 @@ def test_form_gram_matches_dense_form_on_every_column_pair(n):
     rng = np.random.default_rng(60 + n)
     dim = 1 << n
     basis = BasisSet(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    _, form = gram_pair(basis)
+    form = _form_gram_of(basis)
     cols = [PureState(n, v) for v in basis.matrix().T]
     want = np.array([[bilinear_form_dense(a, b).value for b in cols] for a in cols])
     np.testing.assert_allclose(form, want, rtol=1e-13, atol=1e-12)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinforms import selftest
 from spinforms.bits import i_power, parity_signs
 from spinforms.core import (
     GlobalOperator,
@@ -24,7 +25,6 @@ from spinforms.flip import (
     flip_operator,
     flip_state,
     flip_state_dense,
-    form_parity_check,
     signed_reversal,
     spin_flip_matrix,
 )
@@ -98,6 +98,13 @@ def test_flip_operator_matches_dense_conjugation():
         f = spin_flip_matrix(n)
         dense = f @ np.conj(op.mat) @ np.linalg.inv(f)
         np.testing.assert_allclose(flip_operator(op).mat, dense, atol=1e-12)
+    for n in range(1, 9):
+        # the entrywise definition s_a s_b conj(M)[~a, ~b], exactly
+        op, signs = random_operator(n, rng), parity_signs(n)
+        want = np.conj(op.mat)[::-1, ::-1] * np.outer(signs, signs)
+        flipped = flip_operator(op).mat
+        np.testing.assert_array_equal(flipped, want)
+        assert flipped.flags.c_contiguous
 
 
 def test_flip_operator_factorizes_over_tensor_products():
@@ -193,10 +200,8 @@ def test_dense_oracle_cap():
 
 @pytest.mark.parametrize("n, kind", [(2, FormKind.ORTHOGONAL), (3, FormKind.SYMPLECTIC)])
 def test_form_parity_check(n, kind):
-    report = form_parity_check(n, trials=50, seed=1)
-    assert report.passed
-    assert report.kind is kind
-    assert report.max_residual <= 1e-12
+    assert FormKind.for_qubits(n) is kind
+    assert selftest.check_form_parity((n,), 50, seed=1).passed  # within 1e-12
 
 
 def test_signed_reversal_definition():
