@@ -26,7 +26,7 @@ from .core import (
     _require_qubits,
     _value_eq,
 )
-from .flip import FormKind, _form_gram, flip_amplitudes
+from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
@@ -117,11 +117,6 @@ def form_defect(x: np.ndarray, kind: FormKind) -> float:
     return float(np.linalg.norm(_minus_j(np.subtract(pairs, pairs.T))))
 
 
-def _magic_phases(n: int) -> np.ndarray:
-    """(-1)^popcount(k) * i^n for the representatives k < 2^(n-1), as a column; real, since n is even."""
-    return (parity_signs(n - 1) * i_power(n).real)[:, None]
-
-
 def _product_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, phases) for odd n: product basis vector l is phases[rows[l]] at row rows[l]; rows runs over the
     complement pairs (k, ~k), +1 form member first, and phases[r] = i^(zeros in r), exact (kron of [i, 1])."""
@@ -141,8 +136,8 @@ def _columns(n: int, x) -> np.ndarray:
 def canonical_synthesize(n: int, coeffs) -> np.ndarray:
     """V coeffs = sum_l coeffs[l] * (canonical basis vector l), along axis 0, in O(2^n) per column.
 
-    Even n (magic_basis): a butterfly on each complement pair (k, ~k), in place with one half-size
-    temporary.  Odd n (product_biortho_basis): a row scatter and a phase.  Real input is not copied to complex.
+    Even n (magic_basis): a butterfly on each complement pair (k, ~k), written block by block into the
+    output.  Odd n (product_biortho_basis): a row scatter and a phase.  Real input is not copied to complex.
     """
     flat = _columns(n, coeffs)
     result = np.empty(np.shape(coeffs), dtype=np.complex128)  # owns its data, so it can be frozen and stored
@@ -152,13 +147,14 @@ def canonical_synthesize(n: int, coeffs) -> np.ndarray:
         out[rows] = flat
         out *= phases
     else:
-        h = 1 << (n - 1)
-        top, bottom = out[:h], out[::-1][:h]  # bottom[k] is row ~k
-        i_odd = 1j * flat[1::2]
-        np.add(flat[0::2], i_odd, out=top)
-        np.subtract(flat[0::2], i_odd, out=bottom)
-        top *= _S2
-        bottom *= _magic_phases(n) * _S2
+        even, odd = flat[0::2], flat[1::2]
+        # for even n the magic phase c_k is i^n times the reversal sign of row k, the tile
+        for rows, bottom, tile in _signed_blocks(out, 1 << (n - 1)):  # bottom is rows ~k of out
+            i_odd, top = 1j * odd[rows], out[rows]
+            np.add(even[rows], i_odd, out=top)
+            np.subtract(even[rows], i_odd, out=bottom)
+            top *= _S2
+            bottom *= tile * (i_power(n).real * _S2)
     return result
 
 
@@ -166,19 +162,21 @@ def canonical_coefficients(n: int, x) -> np.ndarray:
     """Coefficients V^H x over the canonical basis, along axis 0: the inverse of canonical_synthesize.
 
     Even n, with c_k the phase of magic_basis: (x_k + c_k x_~k) / sqrt(2) at 2k and
-    -i (x_k - c_k x_~k) / sqrt(2) at 2k+1.  Odd n: a row gather and the conjugate phase.  O(2^n) per column."""
+    -i (x_k - c_k x_~k) / sqrt(2) at 2k+1, block by block.  Odd n: a row gather and the conjugate phase.
+    O(2^n) per column."""
     flat = _columns(n, x)
     if n % 2 == 1:
         rows, phases = _product_layout(n)
         return (flat[rows] * phases[rows].conj()).reshape(np.shape(x))
-    h = 1 << (n - 1)
     out = np.empty(flat.shape, dtype=np.complex128)
-    plus, minus = out[0::2], out[1::2]
-    reflected = flat[::-1][:h] * _magic_phases(n)
-    np.add(flat[:h], reflected, out=plus)
-    np.subtract(flat[:h], reflected, out=minus)
-    plus *= _S2
-    minus *= -1j * _S2
+    # c_k x_~k = i^n (R x)[k]: for even n the magic phase is i^n times the reversal sign of row k, the tile
+    for rows, block, tile in _signed_blocks(flat, 1 << (n - 1)):
+        reflected = block * (tile * i_power(n).real)
+        plus, minus = out[0::2][rows], out[1::2][rows]
+        np.add(flat[rows], reflected, out=plus)
+        np.subtract(flat[rows], reflected, out=minus)
+        plus *= _S2
+        minus *= -1j * _S2
     return out.reshape(np.shape(x))
 
 

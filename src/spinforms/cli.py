@@ -3,6 +3,7 @@
 Reports go to standard output; files are written only via --out.  Exit codes:
 0 all verdicts pass, 1 a verdict failed, 2 any other failure (usage, file
 format, or an internal error), reported as one ``error:`` line on stderr.
+Library warnings never reach stderr: every report lists them in values.warnings.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _emit(args, verdicts: dict, residuals: dict | None = None, values: dict | No
         "seed": seed,
         "verdicts": verdicts,
         "residuals": residuals or {},
-        "values": values or {},
+        "values": {**(values or {}), "warnings": [str(w.message) for w in args.caught]},
     }
     print(json.dumps(report, indent=2, allow_nan=False))
     return 0 if all(verdicts.values()) else 1
@@ -107,23 +108,12 @@ def _cmd_form(args) -> int:
 def _cmd_tangle(args) -> int:
     psi = read_state(args.state)
     tol = _tolerances(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.dense_oracle:
-            psi = _as_normalized(psi, tol)
-            value = abs(bilinear_form_dense(psi, psi).value)
-        else:
-            value = tangle(psi, tol)
-    return _emit(
-        args,
-        verdicts={},
-        values={
-            "n": psi.n,
-            "kind": FormKind.for_qubits(psi.n).value,
-            "tangle": value,
-            "warnings": [str(w.message) for w in caught],
-        },
-    )
+    if args.dense_oracle:
+        psi = _as_normalized(psi, tol)
+        value = abs(bilinear_form_dense(psi, psi).value)
+    else:
+        value = tangle(psi, tol)
+    return _emit(args, verdicts={}, values={"n": psi.n, "kind": FormKind.for_qubits(psi.n).value, "tangle": value})
 
 
 def _cmd_basis(args) -> int:
@@ -347,7 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.command_echo = ["spinforms"] + argv
     try:
-        return args.func(args)
+        # library warnings go into the report's values.warnings, never to stderr
+        with warnings.catch_warnings(record=True) as args.caught:
+            warnings.simplefilter("always")
+            return args.func(args)
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

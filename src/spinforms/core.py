@@ -109,7 +109,17 @@ class PureState:
         return 1 << self.n
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
+        """Hilbert norm, with no over- or underflow at any finite amplitudes (see _scaled)."""
+        scaled, exp = _scaled(self.amp)
+        return float(np.ldexp(np.linalg.norm(scaled), exp))
+
+
+def _scaled(amp: np.ndarray) -> tuple[np.ndarray, int]:
+    """(amp * 2^-e, e) with 2^e the power of two just above the largest real or imaginary part.  The scaling is
+    exact and no scaled square over- or underflows, so a norm or quotient of it is that of amp wherever amp's is."""
+    parts = np.abs(amp.view(np.float64))
+    _, exp = np.frexp(parts.max())
+    return np.ldexp(amp.view(np.float64), -exp, out=parts).view(np.complex128), int(exp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +187,12 @@ def hilbert_inner(psi: PureState, phi: PureState) -> complex:
 
 
 def normalize(psi: PureState) -> PureState:
-    """Rescale to unit Hilbert norm."""
-    norm = psi.norm()
+    """Rescale to unit Hilbert norm, at any finite nonzero amplitudes."""
+    scaled, _ = _scaled(psi.amp)
+    norm = np.linalg.norm(scaled)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return PureState(psi.n, _freeze(psi.amp / norm))
+    return PureState(psi.n, _freeze(scaled / norm))
 
 
 def tensor_states(psi: PureState, phi: PureState) -> PureState:

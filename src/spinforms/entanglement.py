@@ -16,22 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
-from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _freeze, _require_qubits
+from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _freeze, _require_qubits, normalize
 from .flip import _signed_dot, bilinear_form, flip_amplitudes
 
 
 def _as_normalized(psi: PureState, tol: Tolerances) -> PureState:
     """Pass normalized states through; warn and rescale anything else."""
-    norm_sq = float(np.vdot(psi.amp, psi.amp).real)
-    if norm_sq == 0.0:
+    if abs(np.vdot(psi.amp, psi.amp).real - 1.0) <= tol.tol_norm:
+        return psi
+    norm = psi.norm()  # right also where the vdot above over- or underflows
+    if norm == 0.0:
         raise ValueError("entanglement quantities are undefined for the zero vector")
-    if abs(norm_sq - 1.0) > tol.tol_norm:
-        warnings.warn(
-            f"state norm^2 = {norm_sq:.12g} differs from 1; value computed with normalization factored out",
-            stacklevel=3,
-        )
-        return PureState(psi.n, _freeze(psi.amp / np.sqrt(norm_sq)))
-    return psi
+    warnings.warn(f"state norm = {norm:.12g} differs from 1; value computed with it factored out", stacklevel=3)
+    return normalize(psi)
 
 
 def tangle(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -68,7 +68,7 @@ def _load(path) -> dict:
 
 
 def _dump(path, data: dict) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(data, allow_nan=False) + "\n", encoding="utf-8")  # one line
 
 
 def _expect_format(data: dict, tag: str, path) -> None:

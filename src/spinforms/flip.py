@@ -67,35 +67,35 @@ def _signed_blocks(x: np.ndarray, stop: int | None = None):
     low = min(n, _TILE_BITS)
     tile = parity_signs(low).reshape((-1,) + (1,) * (x.ndim - 1))
     tiles = (tile, -tile)
-    end = x.shape[0] if stop is None else stop
+    end = x.shape[0] if stop is None else min(stop, x.shape[0])
     for start in range(0, end, 1 << low):
         block_rows = slice(start, min(start + (1 << low), end))
         sign = (n + (start >> low).bit_count()) % 2  # (-1)^n * s_hi[a] is +1 or -1
         yield block_rows, x[::-1][block_rows], tiles[sign][: block_rows.stop - start]
 
 
-def signed_reversal(x) -> np.ndarray:
-    """Row k is (-1)^popcount(~k) * x[~k], along axis 0 of 2^n rows, written in one pass to a new array.
+def signed_reversal(x, stop: int | None = None) -> np.ndarray:
+    """Rows k < ``stop`` (default all) of R x, along axis 0 of 2^n rows, written in one pass to a new array.
 
-    sigma_y^(x)n = i^n * signed_reversal, as sigma_y |j> = i (-1)^j |1 - j> on each qubit.
+    R is the signed reversal: row k of R x is (-1)^popcount(~k) * x[~k].  It is the one source of
+    that sign; sigma_y^(x)n = i^n R, as sigma_y |j> = i (-1)^j |1 - j> on each qubit.
     """
     x = np.asarray(x)
-    out = np.empty(x.shape, dtype=np.result_type(x, np.float64))
-    for rows, block, tile in _signed_blocks(x):
+    out = np.empty(x[:stop].shape, dtype=np.result_type(x, np.float64))
+    for rows, block, tile in _signed_blocks(x, stop):
         np.multiply(block, tile, out=out[rows])
     return out
 
 
 def _form_gram(x: np.ndarray) -> np.ndarray:
-    """signed_reversal(x)^T x for 2^n rows of columns, as X^T + (-1)^n X with half the flops.
+    """(R x)^T x for 2^n rows of columns, as Z^T + (-1)^n Z with half the flops.
 
-    X = x[::-1][:h]^T (s * x[:h]) with h = 2^(n-1) and s = parity_signs(n-1): the rows
-    k >= h of the full product contribute X^T, the rows k < h contribute (-1)^n X.
+    Z = x[:h]^T (R x)[:h] with h = 2^(n-1): the rows k < h of the full product give Z^T, and the
+    rows ~k give (-1)^n Z, as row ~k of R x is (-1)^n (-1)^popcount(~k) x[k].
     """
     h = x.shape[0] // 2
-    n = h.bit_length()
-    half = x[::-1][:h].T @ (parity_signs(n - 1)[:, None] * x[:h])
-    return np.add(half.T, half) if n % 2 == 0 else np.subtract(half.T, half)
+    half = x[:h].T @ signed_reversal(x, h)
+    return np.add(half.T, half) if h.bit_length() % 2 == 0 else np.subtract(half.T, half)
 
 
 def flip_amplitudes(x) -> np.ndarray:
@@ -146,11 +146,11 @@ def flip_local(a: np.ndarray) -> np.ndarray:
 def flip_operator(op: GlobalOperator) -> GlobalOperator:
     """Spin flip of a dense operator: F_n conj(M) F_n^-1 with F_n = sigma_y^(x)n.
 
-    F_n is a signed complement permutation, so the product reduces to the
-    entrywise identity flip(M)[a, b] = (-1)^(popcount(a) + popcount(b))
-    conj(M)[~a, ~b]; no matmul.
+    F_n = i^n R with R the signed reversal, so the product reduces to the entrywise identity
+    flip(M)[a, b] = r[a] r[b] conj(M)[~a, ~b] with r = R 1; no matmul.  The rows and columns are
+    signed by r[~k] = (-1)^n r[k] = (-1)^popcount(k), as the two factors (-1)^n cancel.
     """
-    signs = parity_signs(op.n)
+    signs = signed_reversal(np.ones(op.dim))[::-1]
     flipped = np.conj(op.mat[::-1, ::-1])  # a new C-contiguous array, signed in place
     flipped *= signs[:, None]
     flipped *= signs

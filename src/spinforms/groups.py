@@ -22,7 +22,6 @@ from .bases import (
     form_defect,
     unitarity_defect,
 )
-from .bits import parity_signs
 from .core import (
     DEFAULT_TOL,
     GlobalOperator,
@@ -32,7 +31,7 @@ from .core import (
     expand_local,
     random_sl2,
 )
-from .flip import FormKind, _form_gram
+from .flip import FormKind, _form_gram, signed_reversal
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,14 @@ class FormPreservation:
 def is_form_preserving(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> FormPreservation:
     """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi).
 
-    With R = signed_reversal(I), flip(M)^dag M = R G for the form Gram G = (R M)^T M of M's
+    With R the signed reversal, flip(M)^dag M = R G for the form Gram G = (R M)^T M of M's
     columns, and R is a signed permutation, so the residual is ||G - R^T||_F.  G is symmetric
-    (even n) or antisymmetric (odd n) and is computed as one half-size product; R^T is s[j] at
-    (j, ~j) with s = parity_signs(n), subtracted in place.
+    (even n) or antisymmetric (odd n) and is computed as one half-size product; R^T is r[k] at
+    (~k, k) with r = R 1, subtracted in place.
     """
     gram = _form_gram(op.mat)
     rows = np.arange(op.dim)
-    gram[rows, rows[::-1]] -= parity_signs(op.n)
+    gram[rows[::-1], rows] -= signed_reversal(np.ones(op.dim))
     residual = float(np.linalg.norm(gram))
     return FormPreservation(passed=residual <= tol.tol_residual, residual=residual)
 

@@ -1,4 +1,6 @@
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,45 @@ def test_tangle_warns_on_unnormalized(tmp_path, capsys):
     assert code == 0
     assert report["values"]["tangle"] == pytest.approx(1.0, abs=1e-10)
     assert report["values"]["warnings"]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e155, 1e-160, 1e-170, 1e-300])
+def test_tangle_of_a_scaled_bell_state(tmp_path, capsys, scale):
+    path = tmp_path / "s.json"
+    write_state(path, make_state(2, [scale, 0, 0, scale]))
+    code, report = run(capsys, "tangle", path)
+    assert code == 0
+    assert abs(report["values"]["tangle"] - 1.0) <= 2.3e-16
+    assert any("norm" in w for w in report["values"]["warnings"])
+
+
+def _stderr_of(capsys, *argv):
+    """(exit code, report, stderr) of one command, with warnings printed to stderr as outside the test suite."""
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = to_stderr
+        code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if captured.out.strip() else None, captured.err
+
+
+def test_library_warnings_go_into_the_report_not_to_stderr(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    write_state(path, make_state(2, [1, 0, 0, 1]))
+    code, report, err = _stderr_of(capsys, "maxent", "check", path)
+    assert code == 0
+    assert err == ""
+    assert report["verdicts"]["maximally_entangled"]
+    assert [w for w in report["values"]["warnings"] if "norm" in w]
+    # every report carries the list, empty when nothing warned
+    code, report, err = _stderr_of(capsys, "basis", "magic", "-n", 2, "--out", tmp_path / "b.json")
+    assert (code, report["values"]["warnings"], err) == (0, [], "")
+    keys = {"format", "tool_version", "command", "seed", "verdicts", "residuals", "values"}
+    assert set(report) == keys
 
 
 def test_basis_magic_emit_and_check(tmp_path, capsys):
@@ -348,19 +389,9 @@ def test_maxent_generate_non_finite_input_exits_2(tmp_path, capsys, extra, name)
 
 
 def test_maxent_generate_overflowing_nu_exits_2_with_one_line(tmp_path, capsys):
-    import sys
-    import warnings
-
-    def to_stderr(message, category, filename, lineno, file=None, line=None):
-        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
     out = tmp_path / "m.json"
-    with warnings.catch_warnings():
-        # print warnings to stderr, as outside the test suite, so any warning breaks the one-line contract
-        warnings.simplefilter("default")
-        warnings.showwarning = to_stderr
-        code = main(["maxent", "generate", "-n", "2", "--nu", "1e200,0,0,0", "--out", str(out)])
-    err = capsys.readouterr().err
+    # warnings are printed to stderr, as outside the test suite, so any warning breaks the one-line contract
+    code, _, err = _stderr_of(capsys, "maxent", "generate", "-n", 2, "--nu", "1e200,0,0,0", "--out", out)
     assert code == 2
     assert err.splitlines() == ["error: nu must have unit square sum, got inf"]
     assert not out.exists()

@@ -21,6 +21,7 @@ from spinforms.core import (
     basis_state,
     expand_local,
     make_state,
+    normalize,
     random_sl2,
     random_state,
 )
@@ -72,6 +73,32 @@ def test_tangle_warns_on_unnormalized_input():
     with pytest.warns(UserWarning):
         value = tangle(doubled)
     assert value == pytest.approx(1.0, abs=1e-10)
+
+
+SCALES = [1e200, 1e155, 1e-160, 1e-170, 1e-300]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_scaled_bell_state_normalizes_and_keeps_its_tangle(scale):
+    # norm^2 over- or underflows at these scales, the norm itself does not
+    scaled = make_state(2, [scale, 0, 0, scale])
+    np.testing.assert_allclose(normalize(scaled).amp, BELL.amp, rtol=2.3e-16, atol=0)
+    with pytest.warns(UserWarning, match="norm"):
+        assert abs(tangle(scaled) - 1.0) <= 2.3e-16
+    with pytest.warns(UserWarning, match="norm"):
+        assert abs(tangle_result(scaled).value - 1.0) <= 2.3e-16
+    with pytest.warns(UserWarning, match="norm"):
+        assert is_maximally_entangled(scaled).passed
+
+
+def test_normalize_divides_by_the_norm_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for exponent in np.linspace(-100, 100, 40):
+        n = int(rng.integers(1, 15))
+        z = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * 10.0**exponent
+        psi = PureState(n, z)
+        assert psi.norm() == np.linalg.norm(z)
+        np.testing.assert_array_equal(normalize(psi).amp.view(np.uint64), (z / np.linalg.norm(z)).view(np.uint64))
 
 
 def test_concurrence():

@@ -36,6 +36,8 @@ def test_state_round_trip_bit_exact(tmp_path):
     back = read_state(path)
     assert back.n == 3
     np.testing.assert_array_equal(back.amp, psi.amp)
+    # written compactly: one line, not one line per float
+    assert path.read_text().count("\n") == 1 and path.read_text().endswith("\n")
 
 
 def test_state_metadata(tmp_path):

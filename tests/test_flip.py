@@ -1,9 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinforms import selftest
+from spinforms import bases, flip, groups, selftest
 from spinforms.bits import i_power, parity_signs
 from spinforms.core import (
     GlobalOperator,
@@ -15,9 +16,12 @@ from spinforms.core import (
     random_operator,
     random_state,
 )
+from spinforms.bases import canonical_coefficients, canonical_synthesize
 from spinforms.flip import (
+    _TILE_BITS,
     SIGMA_Y,
     FormKind,
+    _form_gram,
     bilinear_form,
     bilinear_form_dense,
     flip_amplitudes,
@@ -239,6 +243,74 @@ def test_kernels_match_the_full_mask_formula(n):
     assert abs(bilinear_form(psi, phi).value - form) <= 1e-14
     self_form = np.dot(psi.amp[::-1] * parity_signs(n)[::-1], psi.amp)
     assert abs(tangle(psi) - abs(self_form)) <= 1e-14
+    if n % 2 == 0:
+        coeffs, amps = _magic_transforms_with_the_full_mask(n, x, y)
+        np.testing.assert_array_equal(canonical_coefficients(n, x).view(np.uint64), coeffs.view(np.uint64))
+        np.testing.assert_array_equal(canonical_synthesize(n, y).view(np.uint64), amps.view(np.uint64))
+
+
+def _magic_transforms_with_the_full_mask(n: int, x: np.ndarray, c: np.ndarray):
+    """V^H x and V c for the magic basis, with the whole mask c_k = i^n (-1)^popcount(k) over k < 2^(n-1)."""
+    h = 1 << (n - 1)
+    phases = parity_signs(n - 1) * i_power(n).real
+    reflected = x[::-1][:h] * phases
+    coeffs = np.empty(1 << n, dtype=np.complex128)
+    coeffs[0::2] = (x[:h] + reflected) * S2
+    coeffs[1::2] = (x[:h] - reflected) * (-1j * S2)
+    i_odd = 1j * c[1::2]
+    amps = np.empty(1 << n, dtype=np.complex128)
+    amps[:h] = (c[0::2] + i_odd) * S2
+    amps[::-1][:h] = (c[0::2] - i_odd) * (phases * S2)
+    return coeffs, amps
+
+
+@pytest.mark.parametrize("n", [3, 13, 14, 16])
+def test_signed_reversal_stops_like_a_slice(n):
+    v = _zero_bearing_state(n, 70 + n)
+    tile, dim = 1 << _TILE_BITS, 1 << n
+    for x in (v, np.stack([v, -v], axis=1)):
+        for stop in (0, 1, 5, tile - 1, tile, tile + 3, 2 * tile, dim // 2, dim, dim + 9):
+            got = signed_reversal(x, stop)
+            assert got.shape == x[:stop].shape
+            np.testing.assert_array_equal(got.view(np.uint64), signed_reversal(x)[:stop].view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_operator_kernels_match_the_full_mask_formulas(n):
+    rng = np.random.default_rng(120 + n)
+    m = np.stack([_zero_bearing_state(n, int(seed)) for seed in rng.integers(0, 2**31, size=1 << n)], axis=1)
+    # flip(M)[a, b] = s_a s_b conj(M)[~a, ~b], signed row-wise then column-wise with s = parity_signs(n)
+    want = np.conj(m[::-1, ::-1])
+    want *= parity_signs(n)[:, None]
+    want *= parity_signs(n)
+    np.testing.assert_array_equal(flip_operator(GlobalOperator(n, m)).mat.view(np.uint64), want.view(np.uint64))
+    # the form Gram as X^T + (-1)^n X, X = m[::-1][:h]^T (s * m[:h]) with s = parity_signs(n - 1)
+    h = 1 << (n - 1)
+    half = m[::-1][:h].T @ (parity_signs(n - 1)[:, None] * m[:h])
+    gram = half.T + half if n % 2 == 0 else half.T - half
+    np.testing.assert_array_equal(_form_gram(m).view(np.uint64), gram.view(np.uint64))
+
+
+def test_reversal_signs_come_only_from_the_tile(monkeypatch):
+    # R's sign is built in one place: the tile of _signed_blocks, never a mask longer than 2^_TILE_BITS
+    calls = []
+
+    def recording(n):
+        calls.append((sys._getframe(1).f_code.co_name, n))
+        return parity_signs(n)
+
+    for module in (flip, bases):
+        monkeypatch.setattr(module, "parity_signs", recording)
+    x = _zero_bearing_state(16, 130)
+    canonical_coefficients(16, x)
+    canonical_synthesize(16, x)
+    op = random_operator(8, 131)
+    _form_gram(op.mat)
+    flip_operator(op)
+    groups.is_form_preserving(op)
+    assert calls
+    assert all(caller == "_signed_blocks" and n <= _TILE_BITS for caller, n in calls), calls
+    assert not hasattr(groups, "parity_signs")
 
 
 @pytest.mark.parametrize("n", [*range(1, 7), 13, 14, 17])
