@@ -69,6 +69,15 @@ def _tolerances(args) -> Tolerances:
     )
 
 
+def _strict(x):
+    """``x`` with each non-finite float as the string json writes for it, so the report is strict JSON."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return json.dumps(x) if isinstance(x, float) and not np.isfinite(x) else x  # "Infinity", "-Infinity", "NaN"
+
+
 def _emit(args, verdicts: dict, residuals: dict | None = None, values: dict | None = None,
           seed: int | None = None) -> int:
     report = {
@@ -80,7 +89,7 @@ def _emit(args, verdicts: dict, residuals: dict | None = None, values: dict | No
         "residuals": residuals or {},
         "values": {**(values or {}), "warnings": [str(w.message) for w in args.caught]},
     }
-    print(json.dumps(report, indent=2, allow_nan=False))
+    print(json.dumps(_strict(report), indent=2, allow_nan=False))
     return 0 if all(verdicts.values()) else 1
 
 

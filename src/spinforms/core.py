@@ -235,6 +235,7 @@ def random_state(n: int, seed: int | np.random.Generator) -> PureState:
     (``np.random.default_rng`` returns it unchanged), so successive calls
     continue one stream.
     """
+    _require_qubits(n, MAX_STATE_QUBITS)  # before drawing 2^n amplitudes
     rng = np.random.default_rng(seed)
     z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return PureState(n, _freeze(z / np.linalg.norm(z)))
@@ -245,6 +246,7 @@ def random_operator(n: int, seed: int | np.random.Generator) -> GlobalOperator:
 
     ``seed`` may be a ``np.random.Generator``, as for ``random_state``.
     """
+    _require_qubits(n, MAX_OPERATOR_QUBITS)  # before drawing 4^n entries
     rng = np.random.default_rng(seed)
     dim = 1 << n
     return GlobalOperator(n, _freeze(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))

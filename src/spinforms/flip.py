@@ -38,11 +38,6 @@ class FormKind(Enum):
     def for_qubits(cls, n: int) -> "FormKind":
         return cls.ORTHOGONAL if n % 2 == 0 else cls.SYMPLECTIC
 
-    @property
-    def exchange_sign(self) -> int:
-        """Sign s in form(psi, phi) = s * form(phi, psi)."""
-        return 1 if self is FormKind.ORTHOGONAL else -1
-
 
 @dataclass(frozen=True)
 class FormValue:

@@ -1,74 +1,104 @@
 """Acceptance criteria, one test per criterion, one printed pass/fail line each.
 
-Every check lives in ``spinforms.selftest``; this file pins its counts, seeds
-and tolerances.  Unit-level variants live in the other test modules.
+The acceptance suite is ``selftest.run_selftest("full", seed=0)``, the run that
+``spinforms selftest --level full`` makes: its counts and seeds live in
+``run_selftest`` and its thresholds in each check.  This file runs it once and
+asserts every result.  Unit-level variants live in the other test modules.
 """
+
+import pytest
 
 from spinforms import selftest
 
+NAMES = (
+    "index-round-trip",
+    "oracle-equivalence",
+    "form-parity",
+    "operator-algebra",
+    "magic-basis",
+    "orthogonal-round-trip",
+    "even-homomorphism",
+    "odd-homomorphism",
+    "unitary-symplectic-bases",
+    "coefficient-tangle",
+    "golden-values",
+    "maxent-coherence",
+    "amplitude-inequality",
+    "sl-invariance",
+    "performance",
+)
 
-def report(criterion, result):
+
+@pytest.fixture(scope="module")
+def full_run():
+    return selftest.run_selftest("full", seed=0)
+
+
+def report(full_run, criterion):
+    result = full_run[int(criterion)]
     print(f"ACCEPTANCE {criterion} {result.name}: {'PASS' if result.passed else 'FAIL'} [{result.detail}]")
     assert result.passed, f"{criterion} {result.name}: {result.detail}"
 
 
-def test_01_oracle_equivalence():
-    report("01", selftest.check_oracle_equivalence(8, 100, seed=1, tol=1e-12, budget_s=10.0))
+def test_full_run_has_every_check_once(full_run):
+    assert tuple(r.name for r in full_run) == NAMES
 
 
-def test_02_form_parity():
-    report("02", selftest.check_form_parity((1, 2, 3, 4, 5, 6), 100, seed=2, tol=1e-12))
+def test_00_index_round_trip(full_run):
+    report(full_run, "00")
 
 
-def test_03_operator_algebra():
-    report("03", selftest.check_operator_algebra(100, max_n=3, seed=3, tol=1e-10))
+def test_01_oracle_equivalence(full_run):
+    report(full_run, "01")
 
 
-def test_04_magic_basis():
-    report("04", selftest.check_magic_basis((2, 4, 6), (1, 3, 5), tol=1e-10))
+def test_02_form_parity(full_run):
+    report(full_run, "02")
 
 
-def test_05_orthogonal_round_trip():
-    report("05", selftest.check_orthogonal_round_trip((2, 4), 50, controls=5, orthogonal_seed=1000, tol=1e-8))
+def test_03_operator_algebra(full_run):
+    report(full_run, "03")
 
 
-def test_06_even_homomorphism():
-    report(
-        "06",
-        selftest.check_even_homomorphism((2, 4), 100, partners=1, local_seed=2000, partner_seed=3000, tol=1e-8),
-    )
+def test_04_magic_basis(full_run):
+    report(full_run, "04")
 
 
-def test_07_odd_homomorphism():
-    report(
-        "07",
-        selftest.check_odd_homomorphism((1, 3, 5), 100, partners=1, local_seed=4000, partner_seed=5000, tol=1e-8),
-    )
+def test_05_orthogonal_round_trip(full_run):
+    report(full_run, "05")
 
 
-def test_08_unitary_symplectic_bases():
-    report("08", selftest.check_unitary_symplectic_bases((1, 3), 50, symplectic_seed=7000))
+def test_06_even_homomorphism(full_run):
+    report(full_run, "06")
 
 
-def test_09_coefficient_tangle_consistency():
-    report("09", selftest.check_coefficient_tangle((2, 4), 10, 100, orthogonal_seed=8000, seed=9, tol=1e-10))
+def test_07_odd_homomorphism(full_run):
+    report(full_run, "07")
 
 
-def test_10_golden_values():
-    report("10", selftest.check_golden_values(seed=10, tol=1e-10))
+def test_08_unitary_symplectic_bases(full_run):
+    report(full_run, "08")
 
 
-def test_11_maxent_coherence():
-    report("11", selftest.check_maxent_coherence((2, 4), 500, seed=11, tol_tangle=1e-10, tol_line=1e-8))
+def test_09_coefficient_tangle_consistency(full_run):
+    report(full_run, "09")
 
 
-def test_12_amplitude_inequality():
-    report("12", selftest.check_amplitude_inequality((2, 4), 5000, seed=12, tol=1e-10))
+def test_10_golden_values(full_run):
+    report(full_run, "10")
 
 
-def test_13_sl_invariance():
-    report("13", selftest.check_sl_invariance((2, 4), 100, local_seed=9000, seed=13, tol=1e-8))
+def test_11_maxent_coherence(full_run):
+    report(full_run, "11")
 
 
-def test_14_performance_and_large_n():
-    report("14", selftest.check_performance(20, seed=14, budget_s=1.0, tol_value=1e-10))
+def test_12_amplitude_inequality(full_run):
+    report(full_run, "12")
+
+
+def test_13_sl_invariance(full_run):
+    report(full_run, "13")
+
+
+def test_14_performance_and_large_n(full_run):
+    report(full_run, "14")

@@ -7,7 +7,7 @@ import pytest
 
 from spinforms.bases import BasisSet, magic_basis
 from spinforms.cli import main
-from spinforms.core import LocalOperatorList, basis_state, make_state
+from spinforms.core import GlobalOperator, LocalOperatorList, basis_state, make_state
 from spinforms.files import (
     read_basis,
     read_operator,
@@ -416,3 +416,32 @@ def test_op_random_local_at_the_state_cap_round_trips(tmp_path, capsys):
     op = read_operator(out)
     assert isinstance(op, LocalOperatorList)
     assert op.n == 24
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"bare {name} in a report")
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("form", 0), ("op classify", 1), ("op represent", 1), ("basis check", 1)],
+)
+def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, command, code):
+    path = tmp_path / "in.json"
+    if command == "form":
+        write_state(path, make_state(2, [1e200 * S2, 0, 0, 1e200 * S2]))
+        argv = ["form", path, path]
+    elif command == "basis check":
+        write_basis(path, BasisSet(2, 1e200 * magic_basis(2).matrix()))
+        argv = ["basis", "check", path]
+    else:
+        write_operator(path, GlobalOperator(2, 1e200 * np.eye(4)))
+        argv = [*command.split(), path]
+    exit_code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert (exit_code, captured.err) == (code, "")
+    report = json.loads(captured.out, parse_constant=_refuse_constant)
+    flat = json.dumps(report)
+    assert "Infinity" in flat or "NaN" in flat
+    if command == "form":
+        assert report["values"]["value"][0] == "-Infinity"

@@ -268,6 +268,18 @@ def test_random_state_deterministic_and_normalized():
     assert not np.allclose(a.amp, random_state(3, 12).amp)
 
 
+class _RefusingRng:
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} before checking n")
+
+
+@pytest.mark.parametrize("draw, n, cap", [(random_state, 0, 24), (random_state, 25, 24), (random_operator, 13, 12)])
+def test_random_draws_check_n_first(monkeypatch, draw, n, cap):
+    monkeypatch.setattr("spinforms.core.np.random.default_rng", lambda seed: _RefusingRng())
+    with pytest.raises(ValueError, match=rf"qubit count must be in \[1, {cap}\], got {n}"):
+        draw(n, 0)
+
+
 def test_random_state_sphere_uniformity():
     # law of large numbers: E|amp_0|^2 = 1/4 for n=2
     mean = np.mean([abs(random_state(2, seed).amp[0]) ** 2 for seed in range(1000)])
