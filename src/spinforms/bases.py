@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bits import i_power, parity_signs
+from .bits import i_power, parity_signs, times_i_power
 from .core import (
     DEFAULT_TOL,
     MAX_OPERATOR_QUBITS,
@@ -26,7 +26,7 @@ from .core import (
     _require_qubits,
     _value_eq,
 )
-from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes
+from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes, signed_reversal
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
@@ -210,10 +210,27 @@ def product_biortho_basis(n: int) -> BasisSet:
 
 
 def _canonical_basis(n: int, ordering: str) -> BasisSet:
-    """The dense canonical basis: canonical_synthesize applied to the identity."""
+    """The dense canonical basis V = canonical_synthesize(n, I), written entry by entry into zeros.
+
+    Only the nonzero entries are written: two per column for even n (rows k and ~k, with the magic phase
+    c_k taken from signed_reversal), one per column for odd n (from _product_layout).
+    """
     _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
-    # a bool identity: one byte per entry next to the 16-byte output
-    basis = BasisSet(n, _freeze(canonical_synthesize(n, np.eye(1 << n, dtype=bool))), ordering)
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    if n % 2 == 1:
+        rows, phases = _product_layout(n)
+        mat[rows, np.arange(dim)] = phases[rows, 0]
+    else:
+        h = dim // 2
+        k = np.arange(h)
+        c = signed_reversal(np.ones(dim), h) * (i_power(n).real * _S2)  # c_k / sqrt(2), real for even n
+        # column 2k is (|k> + c_k |~k>) / sqrt(2), column 2k+1 is i (|k> - c_k |~k>) / sqrt(2)
+        mat.real[k, 2 * k] = _S2
+        mat.imag[k, 2 * k + 1] = _S2
+        mat.real[dim - 1 - k, 2 * k] = c
+        mat.imag[dim - 1 - k, 2 * k + 1] = -c
+    basis = BasisSet(n, _freeze(mat), ordering)
     object.__setattr__(basis, "canonical", True)
     return basis
 
@@ -230,8 +247,7 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     odd = kind is FormKind.SYMPLECTIC
     minus_target, target_name = (_minus_j, "canonical J") if odd else (_minus_identity, "identity")
     # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    form = _form_gram(v)
-    form *= i_power(-basis.n)
+    form = times_i_power(_form_gram(v), -basis.n)
     h_resid = unitarity_defect(v)
     f_resid = float(np.linalg.norm(minus_target(form)))
     return BiorthoReport(

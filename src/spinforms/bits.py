@@ -6,15 +6,32 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Exact powers of i, indexed by exponent mod 4.  Multiplying by these is a
-# sign/swap operation in IEEE arithmetic, so phase factors never accumulate
-# rounding error.
+# Exact powers of i, indexed by exponent mod 4.  A complex product with one of
+# them is exact for finite values, but gives NaN from inf * 0 once a part has
+# overflowed; times_i_power applies the phase without that product.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def i_power(m: int) -> complex:
     """i**m, exact, via mod-4 lookup."""
     return _I_POW[m % 4]
+
+
+def times_i_power(z: np.ndarray, m: int) -> np.ndarray:
+    """z *= i**m in place on a complex array, returning z.
+
+    Applied as a swap and sign change of the real and imaginary parts rather than a complex
+    product: exact, and an infinite part never meets a zero one, which would give NaN.
+    """
+    m %= 4
+    if m == 2:
+        np.negative(z, out=z)
+    elif m:  # m = 1: (re, im) -> (-im, re); m = 3: (re, im) -> (im, -re)
+        sign = -1.0 if m == 1 else 1.0
+        real = z.real.copy()
+        np.multiply(z.imag, sign, out=z.real)
+        np.multiply(real, -sign, out=z.imag)
+    return z
 
 
 def parity_signs(n: int) -> np.ndarray:

@@ -197,7 +197,11 @@ def _cmd_op(args) -> int:
             },
         )
 
-    # represent
+    # represent: the output is a 2^n x 2^n matrix, so even a local list keeps the dense cap
+    if op.n > MAX_OPERATOR_QUBITS:
+        raise ValueError(
+            f"op represent outputs a 2^n x 2^n matrix, capped at {MAX_OPERATOR_QUBITS} qubits; the operator has {op.n}"
+        )
     as_global = expand_local(op) if isinstance(op, LocalOperatorList) else op
     r = represent_in_basis(as_global, read_basis(args.basis_file) if args.basis_file else None, tol)
     kind = FormKind.for_qubits(as_global.n)

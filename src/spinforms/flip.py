@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import i_power, parity_signs
+from .bits import i_power, parity_signs, times_i_power
 from .core import GlobalOperator, PureState, _freeze
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -129,8 +129,8 @@ def bilinear_form(psi: PureState, phi: PureState) -> FormValue:
     """
     if psi.n != phi.n:
         raise ValueError(f"qubit counts differ: {psi.n} vs {phi.n}")
-    value = _signed_dot(psi.amp, phi.amp, psi.dim) * i_power(-psi.n)
-    return FormValue(value, FormKind.for_qubits(psi.n))
+    value = times_i_power(np.array(_signed_dot(psi.amp, phi.amp, psi.dim)), -psi.n)
+    return FormValue(complex(value), FormKind.for_qubits(psi.n))
 
 
 def flip_local(a: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from spinforms.core import (
     random_state,
     random_su2,
 )
-from spinforms.bits import i_power, index_to_bits
+from spinforms.bits import i_power, index_to_bits, times_i_power
 from spinforms.flip import FormKind, _form_gram, bilinear_form_dense, flip_state, signed_reversal
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -43,7 +43,7 @@ S2 = 1.0 / np.sqrt(2.0)
 
 def _form_gram_of(basis):
     """form(v_a, v_b) over the basis's columns, as check_biorthonormal computes it."""
-    return _form_gram(basis.matrix()) * i_power(-basis.n)
+    return times_i_power(_form_gram(basis.matrix()), -basis.n)
 
 
 def test_magic_basis_two_qubits():
@@ -169,16 +169,24 @@ def test_basis_set_holds_one_read_only_matrix():
         basis.matrix()[0, 0] = 2.0
 
 
-@pytest.mark.parametrize("make, n", [(magic_basis, 4), (product_biortho_basis, 5)])
-def test_canonical_basis_stores_the_synthesized_matrix(monkeypatch, make, n):
-    made = []
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_basis_is_the_transform_of_the_identity(n):
+    basis = (magic_basis if n % 2 == 0 else product_biortho_basis)(n)
+    mat = basis.matrix()
+    # == entry for entry: only the sign of a zero part may differ from the transform's
+    assert np.array_equal(mat, canonical_synthesize(n, np.eye(1 << n)))
+    assert mat is basis.mat  # stored as built, not copied
+    assert not mat.flags.writeable and mat.flags.owndata and mat.flags.c_contiguous
 
-    def synthesize(n, coeffs):
-        made.append(canonical_synthesize(n, coeffs))
-        return made[-1]
 
-    monkeypatch.setattr(spinforms.bases, "canonical_synthesize", synthesize)
-    assert make(n).matrix() is made[-1]  # frozen and stored, not copied
+@pytest.mark.parametrize("make, n", [(magic_basis, 12), (product_biortho_basis, 11)])
+def test_canonical_basis_at_the_cap_matches_the_transforms(make, n):
+    mat = make(n).matrix()
+    cols = np.random.default_rng(n).choice(1 << n, size=16, replace=False)
+    units = np.zeros((1 << n, cols.size))
+    units[cols, np.arange(cols.size)] = 1.0
+    assert np.array_equal(mat[:, cols], canonical_synthesize(n, units))
+    np.testing.assert_allclose(canonical_coefficients(n, mat[:, cols]), units, rtol=0, atol=1e-15)
 
 
 def test_basis_set_rejects_bad_shape_and_qubit_count():
@@ -194,6 +202,13 @@ def test_basis_set_rejects_bad_shape_and_qubit_count():
     for make in (lambda: BasisSet(13, np.eye(2)), lambda: magic_basis(14), lambda: product_biortho_basis(13)):
         with pytest.raises(ValueError, match=r"\[1, 12\]"):
             make()
+
+
+def test_overflowing_form_gram_is_infinite_not_nan():
+    # the form Gram 1e400 J overflows; the phase i^-1 must not turn inf * 0 into NaN
+    with np.errstate(all="ignore"):  # the Hilbert Gram overflows too
+        report = check_biorthonormal(BasisSet(1, 1e200 * product_biortho_basis(1).matrix()))
+    assert report.form_residual == np.inf
 
 
 def test_computational_basis_is_not_biorthonormal():

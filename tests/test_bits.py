@@ -6,6 +6,7 @@ from spinforms.bits import (
     i_power,
     index_to_bits,
     parity_signs,
+    times_i_power,
 )
 
 
@@ -47,3 +48,12 @@ def test_power_lookups_exact():
         assert i_power(-m) == (-1j) ** (m % 4)
     assert i_power(2) == -1 + 0j
     assert i_power(-1) == -1j
+
+
+def test_times_i_power_is_exact_and_never_makes_nan():
+    turns = [complex(np.inf, 0), complex(0, np.inf), complex(-np.inf, 0), complex(0, -np.inf)]  # inf * i^m
+    finite = np.array([1.5 - 2.25j, 1e308 + 1e-300j])
+    for m in range(-5, 6):
+        got = times_i_power(np.array([*finite, turns[0], turns[3]]), m)
+        np.testing.assert_array_equal(got[:2], finite * i_power(m))  # exact where the product is
+        assert list(got[2:]) == [turns[m % 4], turns[(3 + m) % 4]]  # no NaN where it is not

@@ -408,6 +408,18 @@ def test_op_random_local_checks_n_before_drawing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [13, 14, 24])
+def test_op_represent_names_its_cap_for_a_large_local_list(tmp_path, capsys, n):
+    path = tmp_path / "o.json"
+    assert run(capsys, "op", "random-local", "-n", n, "--out", path)[0] == 0
+    code = main(["op", "represent", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: op represent outputs a 2^n x 2^n matrix, capped at 12 qubits; the operator has {n}\n"
+    )
+
+
 def test_op_random_local_at_the_state_cap_round_trips(tmp_path, capsys):
     out = tmp_path / "o.json"
     code, report = run(capsys, "op", "random-local", "-n", 24, "--seed", 5, "--out", out)
@@ -444,4 +456,4 @@ def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, comma
     flat = json.dumps(report)
     assert "Infinity" in flat or "NaN" in flat
     if command == "form":
-        assert report["values"]["value"][0] == "-Infinity"
+        assert report["values"]["value"] == ["-Infinity", 0.0]  # the exact form -1e400 + 0j

@@ -170,6 +170,16 @@ def test_bilinear_form_examples():
         bilinear_form(basis_state(1, 0), basis_state(2, 0))
 
 
+def test_overflowing_form_has_no_nan_part():
+    # the exact values are -1e400 and 1e400 i: the phase (-i)^n must not turn inf * 0 into NaN
+    bell = make_state(2, [1e200 * S2, 0, 0, 1e200 * S2])
+    low, high = np.zeros(8), np.zeros(8)
+    low[0], high[7] = 1e200, 1e200
+    with np.errstate(over="ignore"):
+        values = [bilinear_form(bell, bell).value, bilinear_form(make_state(3, low), make_state(3, high)).value]
+    assert values == [complex(-np.inf, 0), complex(0, np.inf)]
+
+
 def test_bilinear_form_kind():
     psi2 = random_state(2, 14)
     psi3 = random_state(3, 14)
