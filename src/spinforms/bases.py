@@ -11,7 +11,7 @@ unitary-symplectic mix of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (
     _freeze,
     _frozen_complex,
     _require_qubits,
+    _scaled,
     _value_eq,
 )
 from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes, signed_reversal
@@ -31,6 +32,9 @@ from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes, signed_
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
 _S2 = 1.0 / np.sqrt(2.0)
+# With every part below 2^200, nothing in _nonzero_gram_residuals overflows: a product's parts are below
+# 2^401, a key sums fewer than 2^16 products, and the sum of fewer than 2^18 squared parts is below 2^852.
+_UNSCALED_EXP = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +81,7 @@ class BiorthoReport:
     form_residual: float
     form_target: str
     kind: FormKind
+    route: str  # "nonzero" or "dense": how the Grams were summed (see _gram_residuals)
 
 
 def canonical_j(dim: int) -> np.ndarray:
@@ -235,27 +240,101 @@ def _canonical_basis(n: int, ordering: str) -> BasisSet:
     return basis
 
 
+def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
+    """(||V^H V - I||_F, ||form Gram - T||_F, route) for the 2^n x 2^n basis matrix V, with T = I (even n)
+    or canonical J (odd n) and form(v_a, v_b) = (-i)^n (R v_a) . v_b, R the signed reversal.
+
+    Route "nonzero" when no row of V has more than two nonzero entries (the canonical bases, their row
+    permutations, phase changes and in-pair mixes): both Grams are summed from those entries only, in
+    one O(4^n) scan and O(2^n log 2^n) after it.  Route "dense" otherwise: two dense products.
+    """
+    dim = 1 << n
+    nonzero = v != 0
+    if np.count_nonzero(nonzero) <= 2 * dim:  # before the index array, which could be 4^n long
+        at = np.flatnonzero(nonzero)  # row-major, so the entries of one row are adjacent
+        rows = at >> n
+        if not (rows[2:] == rows[:-2]).any():  # no row holds three
+            return (*_nonzero_gram_residuals(n, rows, at & (dim - 1), v.ravel()[at]), "nonzero")
+    # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
+    form = times_i_power(_form_gram(v), -n)
+    minus_target = _minus_j if n % 2 else _minus_identity
+    return unitarity_defect(v), float(np.linalg.norm(minus_target(form))), "dense"
+
+
+def _nonzero_gram_residuals(n: int, rows, cols, values) -> tuple[float, float]:
+    """Both Gram residuals of the matrix whose nonzero entries are values at (rows, cols), sorted by row,
+    at most two per row.
+
+    Row r goes into two slots (col[r], val[r]), zero-padded.  The Hilbert Gram is sum_r val[r]^H val[r]
+    and the form Gram F = (R V)^T V is sum_r (R val)[r]^T val[r], where (R val)[r] sits in the columns
+    of row ~r.  form - T = (-i)^n (F - i^n T) has the norm of F - i^n T, so the targets enter the sums
+    as terms -I and -i^n T, and the terms are summed by (Gram, column, column) key.  Values with a part
+    of 2^_UNSCALED_EXP or more are first scaled by 2^-e (core._scaled, exact), so no product or sum
+    overflows and a residual too large for a float is inf, not NaN.
+    """
+    dim = 1 << n
+    flat = 2 * rows  # slot 0 of each entry's row; the second entry of a row goes to slot 1
+    flat[1:] += rows[1:] == rows[:-1]
+    col, val = np.zeros((dim, 2), dtype=np.intp), np.zeros((dim, 2), dtype=np.complex128)
+    col.ravel()[flat], val.ravel()[flat] = cols, values
+    keys, terms, signs = _gram_targets(n)
+    scaled, exp = _scaled(val)
+    if exp > _UNSCALED_EXP:  # V 2^-e has the Grams G 2^-2e, and I and T enter as 2^-2e I and 2^-2e T
+        val, terms = scaled, np.ldexp(terms.view(np.float64), -2 * exp).view(np.complex128)
+    else:
+        exp = 0
+    # left factors, Gram by Gram: conj(val) for the Hilbert Gram, R val (rows ~r, signed) for the form
+    # Gram, whose columns are offset by dim so that its keys are offset by dim^2
+    left_col = np.concatenate([col, col[::-1] + dim]).reshape(2, dim, 2, 1)
+    left_val = np.concatenate([val.conj(), val[::-1] * signs]).reshape(2, dim, 2, 1)
+    keys = np.concatenate([(left_col * dim + col[:, None, :]).ravel(), keys])
+    terms = np.concatenate([(left_val * val[:, None, :]).ravel(), terms])
+    order = np.argsort(keys)
+    keys = keys[order]
+    firsts = np.empty(keys.size, dtype=bool)
+    firsts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=firsts[1:])
+    firsts = np.flatnonzero(firsts)
+    parts = np.add.reduceat(terms[order], firsts).view(np.float64)  # (real, imaginary) of each entry
+    split = 2 * np.searchsorted(keys[firsts], dim * dim)
+    residuals = [np.sqrt(x @ x) for x in (parts[:split], parts[split:])]
+    if not exp:
+        return float(residuals[0]), float(residuals[1])
+    with np.errstate(over="ignore"):  # a residual too large for a float is inf
+        return float(np.ldexp(residuals[0], 2 * exp)), float(np.ldexp(residuals[1], 2 * exp))
+
+
+@lru_cache(maxsize=MAX_OPERATOR_QUBITS)  # one entry per n; the arrays are read-only
+def _gram_targets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, terms) of -I in the Hilbert Gram and -i^n T in the form Gram, keyed as in _nonzero_gram_residuals,
+    and the signs of R's rows as a column; read-only."""
+    dim = 1 << n
+    rows = np.arange(dim)
+    # T's entry in row a: 1 at (a, a) for I; for J, 1 at (a, a + 1) on even a and -1 at (a, a - 1) on odd a
+    t_cols = rows ^ (n % 2)
+    t_vals = np.where(rows % 2, 1.0, -1.0) if n % 2 else np.full(dim, -1.0)  # -T there
+    keys = np.concatenate([rows * (dim + 1), dim * dim + rows * dim + t_cols])
+    terms = np.concatenate([np.full(dim, -1.0 + 0j), times_i_power(t_vals.astype(np.complex128), n)])
+    signs = signed_reversal(np.ones(dim))[:, None]  # row k of R x is signs[k] * x[~k]
+    return _freeze(keys), _freeze(terms), _freeze(signs)
+
+
 def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> BiorthoReport:
     """Verdict on bi-orthonormality.
 
     Passes iff the Hilbert Gram is the identity and the form Gram is the
     identity (even n) or the canonical block J (odd n) in the basis's given
-    order, both within tol_gram.
+    order, both within tol_gram.  ``route`` names how _gram_residuals summed the Grams.
     """
-    v = basis.matrix()
     kind = FormKind.for_qubits(basis.n)
-    odd = kind is FormKind.SYMPLECTIC
-    minus_target, target_name = (_minus_j, "canonical J") if odd else (_minus_identity, "identity")
-    # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    form = times_i_power(_form_gram(v), -basis.n)
-    h_resid = unitarity_defect(v)
-    f_resid = float(np.linalg.norm(minus_target(form)))
+    h_resid, f_resid, route = _gram_residuals(basis.matrix(), basis.n)
     return BiorthoReport(
         passed=h_resid <= tol.tol_gram and f_resid <= tol.tol_gram,
         hilbert_residual=h_resid,
         form_residual=f_resid,
-        form_target=target_name,
+        form_target="canonical J" if kind is FormKind.SYMPLECTIC else "identity",
         kind=kind,
+        route=route,
     )
 
 

@@ -137,7 +137,7 @@ def _cmd_basis(args) -> int:
                 "hilbert_gram": report.hilbert_residual,
                 "form_gram": report.form_residual,
             },
-            values={"n": basis.n, "form_target": report.form_target},
+            values={"n": basis.n, "form_target": report.form_target, "gram_route": report.route},
         )
 
     _require_qubits(args.n, MAX_OPERATOR_QUBITS)  # before drawing a 2^n x 2^n mix
@@ -157,7 +157,13 @@ def _cmd_basis(args) -> int:
         args,
         verdicts={"biorthonormal": report.passed},
         residuals={"hilbert_gram": report.hilbert_residual, "form_gram": report.form_residual},
-        values={"n": basis.n, "vectors": basis.dim, "ordering": basis.ordering, "out": args.out},
+        values={
+            "n": basis.n,
+            "vectors": basis.dim,
+            "ordering": basis.ordering,
+            "out": args.out,
+            "gram_route": report.route,
+        },
         seed=seed,
     )
 

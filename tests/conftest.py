@@ -25,9 +25,12 @@ def unmarked_copies(tmp_path):
 
 @pytest.fixture
 def refuse_gram(monkeypatch):
-    """A call that makes every later bi-orthonormality Gram check raise AssertionError("Gram check")."""
+    """A call that makes every later bi-orthonormality Gram check raise AssertionError("Gram check").
 
-    def gram_check(x):
+    It replaces _gram_residuals, which both routes of check_biorthonormal (nonzero and dense) go through.
+    """
+
+    def gram_check(v, n):
         raise AssertionError("Gram check")
 
-    return lambda: monkeypatch.setattr(spinforms.bases, "_form_gram", gram_check)
+    return lambda: monkeypatch.setattr(spinforms.bases, "_gram_residuals", gram_check)

@@ -25,6 +25,7 @@ from spinforms.bases import (
     unitarity_defect,
 )
 from spinforms.core import (
+    DEFAULT_TOL,
     MAX_STATE_QUBITS,
     GlobalOperator,
     LocalOperatorList,
@@ -205,10 +206,100 @@ def test_basis_set_rejects_bad_shape_and_qubit_count():
 
 
 def test_overflowing_form_gram_is_infinite_not_nan():
-    # the form Gram 1e400 J overflows; the phase i^-1 must not turn inf * 0 into NaN
-    with np.errstate(all="ignore"):  # the Hilbert Gram overflows too
-        report = check_biorthonormal(BasisSet(1, 1e200 * product_biortho_basis(1).matrix()))
-    assert report.form_residual == np.inf
+    # the Grams of the 1e200-scaled canonical bases overflow; the nonzero route sums them at 2^-e,
+    # so no inf - inf or inf * 0 gives NaN, and no numpy warning is raised
+    for n in range(1, 7):
+        report = check_biorthonormal(BasisSet(n, 1e200 * _canonical(n).matrix()))
+        assert (report.route, report.passed) == ("nonzero", False)
+        assert report.hilbert_residual == np.inf and report.form_residual == np.inf
+        # below the overflow, the residual is the exact ||c^2 G - I|| = (c^2 - 1) sqrt(2^n)
+        report = check_biorthonormal(BasisSet(n, 2.0**300 * _canonical(n).matrix()))
+        assert report.hilbert_residual == pytest.approx((2.0**600 - 1) * np.sqrt(1 << n), rel=1e-14)
+        assert report.form_residual == pytest.approx((2.0**600 - 1) * np.sqrt(1 << n), rel=1e-14)
+
+
+def _dense_residuals(v, n):
+    """Both Gram residuals by the dense products, the reference for the nonzero route."""
+    target = canonical_j(1 << n) if n % 2 else np.eye(1 << n)
+    return unitarity_defect(v), float(np.linalg.norm(times_i_power(_form_gram(v), -n) - target))
+
+
+def _assert_nonzero_route_matches_dense(mat, n):
+    basis = BasisSet(n, mat)
+    report = check_biorthonormal(basis)
+    assert report.route == "nonzero"
+    want = _dense_residuals(basis.matrix(), n)
+    for got, ref in zip((report.hilbert_residual, report.form_residual), want):
+        assert abs(got - ref) <= 1e-14 * max(1.0, ref)
+    assert report.passed == (max(want) <= DEFAULT_TOL.tol_gram)
+    return report
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_nonzero_route_matches_the_dense_products_on_canonical_bases(n):
+    assert _assert_nonzero_route_matches_dense(_canonical(n).matrix(), n).passed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nonzero_route_matches_the_dense_products_on_permuted_and_phased_rows(n):
+    # row permutations and unit phases keep two nonzeros per row; the verdict may go either way
+    rng = np.random.default_rng(700 + n)
+    dim = 1 << n
+    v = _canonical(n).matrix()
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(dim, 1)))
+    for mat in (v[rng.permutation(dim)], phases * v, phases * v[rng.permutation(dim)]):
+        _assert_nonzero_route_matches_dense(mat, n)
+    if n % 2 == 0:  # reversing the rows turns each magic vector into itself or its negative
+        assert _assert_nonzero_route_matches_dense(v[::-1], n).passed
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_nonzero_route_matches_the_dense_products_on_pair_rotations(n):
+    # a real rotation of each magic pair (columns 2k, 2k+1, both on rows k and ~k) is a real orthogonal mix
+    rng = np.random.default_rng(720 + n)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=1 << (n - 1))
+    rotation = np.zeros((1 << n, 1 << n))
+    for k, (c, s) in enumerate(zip(np.cos(angles), np.sin(angles))):
+        rotation[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+    for mat in (_canonical(n).matrix() @ rotation, basis_from_orthogonal(rotation.T).matrix()):
+        assert _assert_nonzero_route_matches_dense(mat, n).passed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nonzero_route_matches_the_dense_products_on_one_perturbed_entry(n):
+    v = _canonical(n).matrix().copy()
+    row, col = 3 % (1 << n), np.flatnonzero(v[3 % (1 << n)])[0]
+    for delta in (1e-12, 1e-6, 0.5):
+        mat = v.copy()
+        mat[row, col] += delta
+        report = _assert_nonzero_route_matches_dense(mat, n)
+        assert report.passed == (delta < 1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nonzero_route_on_empty_and_sparse_rows(n):
+    dim = 1 << n
+    for mat in (np.zeros((dim, dim)), np.eye(dim), np.fliplr(np.eye(dim)), np.diag(np.arange(dim) + 1j)):
+        assert not _assert_nonzero_route_matches_dense(mat, n).passed
+
+
+@pytest.mark.parametrize("make, n", [(magic_basis, 12), (product_biortho_basis, 11)])
+def test_check_biorthonormal_at_the_caps_takes_the_nonzero_route(make, n):
+    report = check_biorthonormal(make(n))
+    assert (report.passed, report.route) == (True, "nonzero")
+    assert max(report.hilbert_residual, report.form_residual) <= 1e-12
+
+
+def test_a_row_with_three_nonzeros_takes_the_dense_route():
+    for n in (2, 3, 6):
+        v = _canonical(n).matrix().copy()
+        v[0, np.flatnonzero(v[0] == 0)[: 3 - np.count_nonzero(v[0])]] = 1e-300  # however small, it counts
+        report = check_biorthonormal(BasisSet(n, v))
+        assert report.route == "dense" and report.passed
+        assert (report.hilbert_residual, report.form_residual) == _dense_residuals(v, n)
+    assert check_biorthonormal(basis_from_orthogonal(random_real_orthogonal(16, 3))).route == "dense"
+    assert check_biorthonormal(BasisSet(1, np.ones((2, 2)))).route == "nonzero"  # every row of a 2 x 2 matrix
+    assert check_biorthonormal(BasisSet(2, np.ones((4, 4)))).route == "dense"
 
 
 def test_computational_basis_is_not_biorthonormal():
