@@ -17,12 +17,13 @@ import numpy as np
 
 from .bits import i_power, parity_signs, times_i_power
 from .core import (
-    DEFAULT_TOL,
+    GRAM_TOL,
     MAX_OPERATOR_QUBITS,
+    RESIDUAL_TOL,
     PureState,
-    Tolerances,
     _freeze,
     _frozen_complex,
+    _quadratic_residual,
     _require_qubits,
     _scaled,
     _value_eq,
@@ -94,24 +95,24 @@ def canonical_j(dim: int) -> np.ndarray:
     return j
 
 
-def _minus_identity(gram: np.ndarray) -> np.ndarray:
-    """gram - I, in place on a square array the caller owns."""
+def _minus_identity(gram: np.ndarray, unit: float = 1.0) -> np.ndarray:
+    """gram - unit * I, in place on a square array the caller owns."""
     diag = np.arange(gram.shape[0])
-    gram[diag, diag] -= 1.0
+    gram[diag, diag] -= unit
     return gram
 
 
-def _minus_j(gram: np.ndarray) -> np.ndarray:
-    """gram - canonical_j, in place on a square array of even size the caller owns."""
+def _minus_j(gram: np.ndarray, unit: float = 1.0) -> np.ndarray:
+    """gram - unit * canonical_j, in place on a square array of even size the caller owns."""
     even = np.arange(0, gram.shape[0], 2)
-    gram[even, even + 1] -= 1.0
-    gram[even + 1, even] += 1.0
+    gram[even, even + 1] -= unit
+    gram[even + 1, even] += unit
     return gram
 
 
 def unitarity_defect(x: np.ndarray) -> float:
-    """||x^H x - I||_F: zero iff the square matrix x is unitary."""
-    return float(np.linalg.norm(_minus_identity(x.conj().T @ x)))
+    """||x^H x - I||_F: zero iff the square matrix x is unitary; inf, not NaN, where it overflows."""
+    return _quadratic_residual(lambda y, unit: np.linalg.norm(_minus_identity(y.conj().T @ y, unit)), x)
 
 
 def form_defect(x: np.ndarray, kind: FormKind) -> float:
@@ -246,7 +247,8 @@ def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
 
     Route "nonzero" when no row of V has more than two nonzero entries (the canonical bases, their row
     permutations, phase changes and in-pair mixes): both Grams are summed from those entries only, in
-    one O(4^n) scan and O(2^n log 2^n) after it.  Route "dense" otherwise: two dense products.
+    one O(4^n) scan and O(2^n log 2^n) after it.  Route "dense" otherwise: two dense products, taken again
+    at 2^-e where they overflow (core._quadratic_residual).  On either route an overflowing residual is inf.
     """
     dim = 1 << n
     nonzero = v != 0
@@ -256,9 +258,11 @@ def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
         if not (rows[2:] == rows[:-2]).any():  # no row holds three
             return (*_nonzero_gram_residuals(n, rows, at & (dim - 1), v.ravel()[at]), "nonzero")
     # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    form = times_i_power(_form_gram(v), -n)
     minus_target = _minus_j if n % 2 else _minus_identity
-    return unitarity_defect(v), float(np.linalg.norm(minus_target(form))), "dense"
+    form_residual = _quadratic_residual(
+        lambda y, unit: np.linalg.norm(minus_target(times_i_power(_form_gram(y), -n), unit)), v
+    )
+    return unitarity_defect(v), form_residual, "dense"
 
 
 def _nonzero_gram_residuals(n: int, rows, cols, values) -> tuple[float, float]:
@@ -319,17 +323,17 @@ def _gram_targets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(keys), _freeze(terms), _freeze(signs)
 
 
-def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> BiorthoReport:
+def check_biorthonormal(basis: BasisSet) -> BiorthoReport:
     """Verdict on bi-orthonormality.
 
     Passes iff the Hilbert Gram is the identity and the form Gram is the
     identity (even n) or the canonical block J (odd n) in the basis's given
-    order, both within tol_gram.  ``route`` names how _gram_residuals summed the Grams.
+    order, both within GRAM_TOL.  ``route`` names how _gram_residuals summed the Grams.
     """
     kind = FormKind.for_qubits(basis.n)
     h_resid, f_resid, route = _gram_residuals(basis.matrix(), basis.n)
     return BiorthoReport(
-        passed=h_resid <= tol.tol_gram and f_resid <= tol.tol_gram,
+        passed=h_resid <= GRAM_TOL and f_resid <= GRAM_TOL,
         hilbert_residual=h_resid,
         form_residual=f_resid,
         form_target="canonical J" if kind is FormKind.SYMPLECTIC else "identity",
@@ -338,10 +342,10 @@ def check_biorthonormal(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> Biort
     )
 
 
-def _require_biorthonormal(basis: BasisSet, tol: Tolerances) -> None:
+def _require_biorthonormal(basis: BasisSet) -> None:
     if basis.canonical:  # bi-orthonormal by construction
         return
-    report = check_biorthonormal(basis, tol)
+    report = check_biorthonormal(basis)
     if not report.passed:
         raise ValueError(
             "basis is not bi-orthonormal "
@@ -358,7 +362,7 @@ def state_coefficients(basis: BasisSet, psi: PureState) -> np.ndarray:
     return basis.matrix().conj().T @ psi.amp
 
 
-def _mix_canonical_basis(mix, kind: FormKind, tol: Tolerances, ordering: str) -> BasisSet:
+def _mix_canonical_basis(mix, kind: FormKind, ordering: str) -> BasisSet:
     # Rows of a unitary member of the form's group give a new bi-orthonormal basis:
     # new vector j = sum_l mix[j, l] * canonical vector l.
     # real input stays real, so the membership products run in real arithmetic
@@ -371,7 +375,7 @@ def _mix_canonical_basis(mix, kind: FormKind, tol: Tolerances, ordering: str) ->
         raise ValueError(f"dimension must be 2^n with n {'even' if kind is FormKind.ORTHOGONAL else 'odd'}")
     _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the O(dim^3) products
     unit, form = unitarity_defect(mix), form_defect(mix, kind)
-    if unit > tol.tol_residual or form > tol.tol_residual:
+    if unit > RESIDUAL_TOL or form > RESIDUAL_TOL:
         raise ValueError(
             f"mixing matrix is not unitary {kind.value} (unitarity defect {unit:.3e}, form defect {form:.3e})"
         )
@@ -380,12 +384,12 @@ def _mix_canonical_basis(mix, kind: FormKind, tol: Tolerances, ordering: str) ->
     return BasisSet(n, _freeze(canonical_synthesize(n, mix.T)), ordering)
 
 
-def basis_from_orthogonal(o: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:
+def basis_from_orthogonal(o: np.ndarray) -> BasisSet:
     """Mix the magic basis by a real orthogonal matrix (rows give the new vectors)."""
-    return _mix_canonical_basis(o, FormKind.ORTHOGONAL, tol, "magic basis mixed by real orthogonal matrix")
+    return _mix_canonical_basis(o, FormKind.ORTHOGONAL, "magic basis mixed by real orthogonal matrix")
 
 
-def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def decompose_basis(basis: BasisSet) -> np.ndarray:
     """Coefficient matrix of a bi-orthonormal basis over the magic basis.
 
     Returns the real orthogonal matrix C with basis vector j = sum_l C[j, l] e_l.
@@ -394,11 +398,11 @@ def decompose_basis(basis: BasisSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     """
     if basis.n % 2 != 0:
         raise ValueError("magic-basis decomposition requires an even qubit count")
-    _require_biorthonormal(basis, tol)
+    _require_biorthonormal(basis)
     coeff = canonical_coefficients(basis.n, basis.matrix()).T
     imag_max = float(np.max(np.abs(coeff.imag)))
     defect = form_defect(coeff.T, FormKind.ORTHOGONAL)  # C C^T - I
-    if imag_max > tol.tol_residual or defect > tol.tol_residual:
+    if imag_max > RESIDUAL_TOL or defect > RESIDUAL_TOL:
         raise RuntimeError(
             "bi-orthonormal basis decomposed to a non-real-orthogonal matrix "
             f"(imag {imag_max:.3e}, orthogonality defect {defect:.3e}); this should be impossible"
@@ -436,9 +440,9 @@ def random_unitary_symplectic(dim: int, seed: int) -> np.ndarray:
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
-def basis_from_unitary_symplectic(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BasisSet:
+def basis_from_unitary_symplectic(s: np.ndarray) -> BasisSet:
     """Mix the product bi-orthonormal basis by a unitary-symplectic matrix (rows give the new vectors)."""
-    return _mix_canonical_basis(s, FormKind.SYMPLECTIC, tol, "product basis mixed by unitary-symplectic matrix")
+    return _mix_canonical_basis(s, FormKind.SYMPLECTIC, "product basis mixed by unitary-symplectic matrix")
 
 
 @dataclass(frozen=True)
@@ -447,9 +451,7 @@ class SelfConjugacyReport:
     max_residual: float
 
 
-def self_conjugacy_coefficient_check(
-    psi: PureState, tol: Tolerances = DEFAULT_TOL
-) -> SelfConjugacyReport:
+def self_conjugacy_coefficient_check(psi: PureState) -> SelfConjugacyReport:
     """Verdict on whether the spin flip fixes ``psi``.
 
     Coefficient-wise this is psi_{~k} = conj(psi_k) * (-1)^popcount(k) * i^n
@@ -458,4 +460,4 @@ def self_conjugacy_coefficient_check(
     if psi.n % 2 != 0:
         raise ValueError("self-conjugate states require an even qubit count")
     resid = float(np.max(np.abs(flip_amplitudes(psi.amp) - psi.amp)))
-    return SelfConjugacyReport(passed=resid <= tol.tol_residual, max_residual=resid)
+    return SelfConjugacyReport(passed=resid <= RESIDUAL_TOL, max_residual=resid)

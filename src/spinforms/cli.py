@@ -29,9 +29,9 @@ from .bases import (
 from .core import (
     MAX_OPERATOR_QUBITS,
     MAX_STATE_QUBITS,
+    RESIDUAL_TOL,
     GlobalOperator,
     LocalOperatorList,
-    Tolerances,
     _require_qubits,
     expand_local,
     random_sl2,
@@ -61,12 +61,6 @@ from .selftest import run_selftest
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        tol_norm=args.tol_norm, tol_gram=args.tol_gram, tol_residual=args.tol_residual
-    )
 
 
 def _strict(x):
@@ -116,20 +110,18 @@ def _cmd_form(args) -> int:
 
 def _cmd_tangle(args) -> int:
     psi = read_state(args.state)
-    tol = _tolerances(args)
     if args.dense_oracle:
-        psi = _as_normalized(psi, tol)
+        psi = _as_normalized(psi)
         value = abs(bilinear_form_dense(psi, psi).value)
     else:
-        value = tangle(psi, tol)
+        value = tangle(psi)
     return _emit(args, verdicts={}, values={"n": psi.n, "kind": FormKind.for_qubits(psi.n).value, "tangle": value})
 
 
 def _cmd_basis(args) -> int:
-    tol = _tolerances(args)
     if args.subcommand == "check":
         basis = read_basis(args.basis)
-        report = check_biorthonormal(basis, tol)
+        report = check_biorthonormal(basis)
         return _emit(
             args,
             verdicts={"biorthonormal": report.passed},
@@ -148,11 +140,11 @@ def _cmd_basis(args) -> int:
         basis = product_biortho_basis(args.n)
     else:  # random-biortho
         if args.n % 2 == 0:
-            basis = basis_from_orthogonal(random_real_orthogonal(1 << args.n, seed), tol)
+            basis = basis_from_orthogonal(random_real_orthogonal(1 << args.n, seed))
         else:
-            basis = basis_from_unitary_symplectic(random_unitary_symplectic(1 << args.n, seed), tol)
+            basis = basis_from_unitary_symplectic(random_unitary_symplectic(1 << args.n, seed))
     write_basis(args.out, basis)
-    report = check_biorthonormal(basis, tol)
+    report = check_biorthonormal(basis)
     return _emit(
         args,
         verdicts={"biorthonormal": report.passed},
@@ -181,10 +173,9 @@ def _cmd_op(args) -> int:
             seed=args.seed,
         )
 
-    tol = _tolerances(args)
     op = read_operator(args.operator)
     if args.subcommand == "classify":
-        report = classify_operator(op, tol)
+        report = classify_operator(op)
         # slocc_obstruction's verdict is the form-preservation test classify_operator just ran
         return _emit(
             args,
@@ -209,24 +200,23 @@ def _cmd_op(args) -> int:
             f"op represent outputs a 2^n x 2^n matrix, capped at {MAX_OPERATOR_QUBITS} qubits; the operator has {op.n}"
         )
     as_global = expand_local(op) if isinstance(op, LocalOperatorList) else op
-    r = represent_in_basis(as_global, read_basis(args.basis_file) if args.basis_file else None, tol)
+    r = represent_in_basis(as_global, read_basis(args.basis_file) if args.basis_file else None)
     kind = FormKind.for_qubits(as_global.n)
     defect = form_defect(r, kind)
     if args.out:
         write_operator(args.out, GlobalOperator(as_global.n, r))
     return _emit(
         args,
-        verdicts={"form_defect_ok": defect <= tol.tol_residual},
+        verdicts={"form_defect_ok": defect <= RESIDUAL_TOL},
         residuals={"form_defect": defect},
         values={"n": as_global.n, "kind": kind.value, "det_r": _pair(complex(np.linalg.det(r)))},
     )
 
 
 def _cmd_maxent(args) -> int:
-    tol = _tolerances(args)
     if args.subcommand == "check":
         psi = read_state(args.state)
-        report = is_maximally_entangled(psi, tol)
+        report = is_maximally_entangled(psi)
         return _emit(
             args,
             verdicts={"maximally_entangled": report.passed},
@@ -246,12 +236,12 @@ def _cmd_maxent(args) -> int:
         rng = np.random.default_rng(args.seed)
         nu = rng.normal(size=1 << args.n)
         nu /= np.linalg.norm(nu)
-    psi = maxent_generate(args.n, args.theta, nu, tol)
+    psi = maxent_generate(args.n, args.theta, nu)
     write_state(args.out, psi, metadata={"seed": args.seed, "theta": args.theta})
-    value = tangle(psi, tol)
+    value = tangle(psi)
     return _emit(
         args,
-        verdicts={"tangle_unit": abs(value - 1.0) <= tol.tol_residual},
+        verdicts={"tangle_unit": abs(value - 1.0) <= RESIDUAL_TOL},
         residuals={"tangle_gap": abs(value - 1.0)},
         values={"n": args.n, "out": args.out},
         seed=args.seed,
@@ -269,12 +259,6 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # attached only to the leaf commands that read them; anywhere else argparse rejects them
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-norm", type=float, default=Tolerances().tol_norm)
-    common.add_argument("--tol-gram", type=float, default=Tolerances().tol_gram)
-    common.add_argument("--tol-residual", type=float, default=Tolerances().tol_residual)
-
     parser = argparse.ArgumentParser(
         prog="spinforms",
         description="Spin-flip bilinear forms on n-qubit states: flips, bases, operator classes, tangle.",
@@ -294,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-oracle", action="store_true")
     p.set_defaults(func=_cmd_form)
 
-    p = sub.add_parser("tangle", parents=[common], help="entanglement quadratic form of a state file")
+    p = sub.add_parser("tangle", help="entanglement quadratic form of a state file")
     p.add_argument("state")
     p.add_argument("--dense-oracle", action="store_true")
     p.set_defaults(func=_cmd_tangle)
@@ -302,19 +286,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="emit or check bi-orthonormal bases")
     basis_sub = p.add_subparsers(dest="subcommand", required=True)
     for name in ("magic", "product", "random-biortho"):
-        q = basis_sub.add_parser(name, parents=[common])
+        q = basis_sub.add_parser(name)
         q.add_argument("-n", type=int, required=True)
         q.add_argument("--out", required=True)
         if name == "random-biortho":
             q.add_argument("--seed", type=int, default=0)
         q.set_defaults(func=_cmd_basis, subcommand=name)
-    q = basis_sub.add_parser("check", parents=[common])
+    q = basis_sub.add_parser("check")
     q.add_argument("basis")
     q.set_defaults(func=_cmd_basis, subcommand="check")
 
     p = sub.add_parser("op", help="classify or represent operators")
     op_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = op_sub.add_parser("classify", parents=[common])
+    q = op_sub.add_parser("classify")
     q.add_argument("operator")
     q.set_defaults(func=_cmd_op, subcommand="classify")
     q = op_sub.add_parser("random-local")
@@ -323,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_op, subcommand="random-local")
-    q = op_sub.add_parser("represent", parents=[common])
+    q = op_sub.add_parser("represent")
     q.add_argument("operator")
     q.add_argument("--basis-file", default=None, help="basis file; default is the parity-canonical basis")
     q.add_argument("--out", default=None, help="write the represented matrix as an operator file")
@@ -331,10 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxent", help="check or generate maximally entangled states")
     me_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = me_sub.add_parser("check", parents=[common])
+    q = me_sub.add_parser("check")
     q.add_argument("state")
     q.set_defaults(func=_cmd_maxent, subcommand="check")
-    q = me_sub.add_parser("generate", parents=[common])
+    q = me_sub.add_parser("generate")
     q.add_argument("-n", type=int, required=True)
     q.add_argument("--theta", type=float, default=0.0)
     q.add_argument("--nu", default=None, help="comma-separated real coefficients with unit square sum")

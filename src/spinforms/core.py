@@ -22,24 +22,13 @@ MAX_STATE_QUBITS = 24
 MAX_OPERATOR_QUBITS = 12
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used by verdict-producing checks.
-
-    Defaults assume double precision with at most 2^24 accumulations.
-    """
-
-    tol_norm: float = 1e-12
-    tol_gram: float = 1e-10
-    tol_residual: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("tol_norm", "tol_gram", "tol_residual"):
-            if not getattr(self, name) >= 0:  # also rejects NaN
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-
-
-DEFAULT_TOL = Tolerances()
+# Thresholds of the verdicts, for double precision with at most 2^24 accumulations.
+#: Largest gap from 1 of a squared norm that passes a state through unscaled, and of maxent_generate's sum of nu^2.
+NORM_TOL = 1e-12
+#: Both Gram residuals of check_biorthonormal.
+GRAM_TOL = 1e-10
+#: Every other verdict's residual; maxent_structure_check's relation residual is judged at 2 * RESIDUAL_TOL.
+RESIDUAL_TOL = 1e-8
 
 
 def _require_qubits(n: int, cap: int) -> None:
@@ -116,10 +105,26 @@ class PureState:
 
 def _scaled(amp: np.ndarray) -> tuple[np.ndarray, int]:
     """(amp * 2^-e, e) with 2^e the power of two just above the largest real or imaginary part.  The scaling is
-    exact and no scaled square over- or underflows, so a norm or quotient of it is that of amp wherever amp's is."""
+    exact and no scaled square over- or underflows, so a norm or quotient of it is that of amp wherever amp's is.
+    amp is complex128 or float64, and the result has its dtype."""
     parts = np.abs(amp.view(np.float64))
     _, exp = np.frexp(parts.max())
-    return np.ldexp(amp.view(np.float64), -exp, out=parts).view(np.complex128), int(exp)
+    return np.ldexp(amp.view(np.float64), -exp, out=parts).view(amp.dtype), int(exp)
+
+
+def _quadratic_residual(residual, x: np.ndarray) -> float:
+    """residual(x, 1.0), for a residual ||G(x) - unit * T|| with G(x) quadratic in x, such as x^H x - I.
+
+    Where it is not finite although x is (a product overflowed, and inf - inf gave NaN), it is taken again
+    on x 2^-e (_scaled, exact) with the target at 2^-2e and scaled back by 2^2e, so an overflowing residual
+    is inf, not NaN.  A finite residual takes no further pass.  No numpy warning escapes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(residual(x, 1.0))
+        if np.isfinite(value) or not np.isfinite(x).all():
+            return value
+        scaled, exp = _scaled(np.ascontiguousarray(x))
+        return float(np.ldexp(residual(scaled, np.ldexp(1.0, -2 * exp)), 2 * exp))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
-from .core import DEFAULT_TOL, MAX_STATE_QUBITS, PureState, Tolerances, _freeze, _require_qubits, normalize
+from .core import MAX_STATE_QUBITS, NORM_TOL, RESIDUAL_TOL, PureState, _freeze, _require_qubits, normalize
 from .flip import _signed_dot, bilinear_form, flip_amplitudes
 
 
-def _as_normalized(psi: PureState, tol: Tolerances) -> PureState:
-    """Pass normalized states through; warn and rescale anything else."""
-    if abs(np.vdot(psi.amp, psi.amp).real - 1.0) <= tol.tol_norm:
+def _as_normalized(psi: PureState) -> PureState:
+    """Pass states whose squared norm is within NORM_TOL of 1 through; warn and rescale anything else."""
+    if abs(np.vdot(psi.amp, psi.amp).real - 1.0) <= NORM_TOL:
         return psi
     norm = psi.norm()  # right also where the vdot above over- or underflows
     if norm == 0.0:
@@ -31,13 +31,13 @@ def _as_normalized(psi: PureState, tol: Tolerances) -> PureState:
     return normalize(psi)
 
 
-def tangle(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> float:
+def tangle(psi: PureState) -> float:
     """|<flip(psi)|psi>| for normalized psi, computed matrix-free.
 
     Non-normalized input triggers a warning and the normalization is factored
     out (the form is quadratic, so this equals dividing by <psi|psi>).
     """
-    psi = _as_normalized(psi, tol)
+    psi = _as_normalized(psi)
     if psi.n % 2:
         return abs(bilinear_form(psi, psi).value)
     # even n: the terms of k and ~k in the form's sum are equal, so half the rows suffice
@@ -83,17 +83,17 @@ class TangleResult:
     basis_used: str
 
 
-def tangle_result(psi: PureState, basis: BasisSet | None = None, tol: Tolerances = DEFAULT_TOL) -> TangleResult:
+def tangle_result(psi: PureState, basis: BasisSet | None = None) -> TangleResult:
     """Tangle plus the polygon of coefficients over a bi-orthonormal basis (even n); no basis means the magic basis."""
     if psi.n % 2 != 0:
         raise ValueError("the coefficient view of the tangle requires an even qubit count")
-    psi = _as_normalized(psi, tol)
+    psi = _as_normalized(psi)
     if basis is None:
         c, label = canonical_coefficients(psi.n, psi.amp), "magic"
     else:
         c, label = state_coefficients(basis, psi), basis.ordering or "custom"  # checks the qubit counts
-        _require_biorthonormal(basis, tol)
-    return TangleResult(value=tangle(psi, tol), polygon=polygon(c), basis_used=label)
+        _require_biorthonormal(basis)
+    return TangleResult(value=tangle(psi), polygon=polygon(c), basis_used=label)
 
 
 @dataclass(frozen=True)
@@ -104,21 +104,17 @@ class AmplitudeBoundReport:
     slack: float
 
 
-def amplitude_bound_check(
-    psi: PureState, basis: BasisSet, tol: Tolerances = DEFAULT_TOL
-) -> AmplitudeBoundReport:
+def amplitude_bound_check(psi: PureState, basis: BasisSet) -> AmplitudeBoundReport:
     """Check |c_l|^2 <= (1 + tangle)/2 for coefficients over a bi-orthonormal basis."""
     if psi.n % 2 != 0:
         raise ValueError("the amplitude bound applies to even qubit counts")
-    psi = _as_normalized(psi, tol)
-    _require_biorthonormal(basis, tol)
+    psi = _as_normalized(psi)
+    _require_biorthonormal(basis)
     c = state_coefficients(basis, psi)
     max_sq = float(np.max(np.abs(c) ** 2))
-    bound = 0.5 * (1.0 + tangle(psi, tol))
+    bound = 0.5 * (1.0 + tangle(psi))
     slack = bound - max_sq
-    return AmplitudeBoundReport(
-        passed=slack >= -tol.tol_residual, max_coeff_sq=max_sq, bound=bound, slack=slack
-    )
+    return AmplitudeBoundReport(passed=slack >= -RESIDUAL_TOL, max_coeff_sq=max_sq, bound=bound, slack=slack)
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ class StructureReport:
     half_sum_gap: float
 
 
-def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> StructureReport:
+def maxent_structure_check(psi: PureState) -> StructureReport:
     """Structural form of maximal entanglement in the computational basis.
 
     Searches for a global phase theta (half the argument of the quadratic
@@ -138,11 +134,12 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     representative half of the index range.  The relation residual is the
     2-norm ||flip(rotated) - rotated|| = ||flip(psi) - e^{-2i theta} psi||
     (the flip is antilinear), twice the phase residual of
-    is_maximally_entangled, so it is judged against 2 * tol_residual.
+    is_maximally_entangled, so it is judged against 2 * RESIDUAL_TOL; the half-sum gap
+    against RESIDUAL_TOL.
     """
     if psi.n % 2 != 0:
         raise ValueError("maximal-entanglement checks require an even qubit count")
-    psi = _as_normalized(psi, tol)
+    psi = _as_normalized(psi)
     form = bilinear_form(psi, psi).value
     # a vanishing form admits no phase witness (a flip-fixed normalized state
     # has form 1); residuals are then reported at zero phase
@@ -153,11 +150,7 @@ def maxent_structure_check(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Str
     relation -= psi.amp
     relation_residual = float(np.linalg.norm(relation))
     half_sum_gap = float(abs(np.linalg.norm(psi.amp[: psi.dim // 2]) ** 2 - 0.5))  # |e^{-i theta} psi_k| = |psi_k|
-    passed = (
-        theta is not None
-        and relation_residual <= 2 * tol.tol_residual
-        and half_sum_gap <= tol.tol_residual
-    )
+    passed = theta is not None and relation_residual <= 2 * RESIDUAL_TOL and half_sum_gap <= RESIDUAL_TOL
     return StructureReport(
         passed=passed, theta=theta, relation_residual=relation_residual, half_sum_gap=half_sum_gap
     )
@@ -174,20 +167,20 @@ class MaxEntReport:
     nu: np.ndarray | None
 
 
-def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> MaxEntReport:
+def is_maximally_entangled(psi: PureState) -> MaxEntReport:
     """Judge maximal entanglement on one scale, with the structural criterion as a cross-check.
 
     With magic-basis coefficients c and theta = arg(sum c^2) / 2, write
     e^{-i theta} c = x + i y with x, y real.  Then x . y = 0, so
     tangle = 1 - 2 ||y||^2, and the structural residual of
     maxent_structure_check is 2 ||y||.  The verdict is
-    d = ||y|| <= tol_residual, reported as ``phase_residual``;
+    d = ||y|| <= RESIDUAL_TOL, reported as ``phase_residual``;
     ``tangle_gap`` (= 2 d^2) is data only, and ``criteria_agree`` says
     whether the structural verdict matches.
     """
     if psi.n % 2 != 0:
         raise ValueError("maximal-entanglement checks require an even qubit count")
-    psi = _as_normalized(psi, tol)
+    psi = _as_normalized(psi)
 
     c = canonical_coefficients(psi.n, psi.amp)  # fresh, so it is rotated in place
     form = complex(np.dot(c, c))  # the form itself, over a bi-orthonormal basis (dot does not conjugate)
@@ -197,9 +190,9 @@ def is_maximally_entangled(psi: PureState, tol: Tolerances = DEFAULT_TOL) -> Max
         c *= np.exp(-1j * theta)
     nu, y = c.real, c.imag
     phase_residual = float(np.sqrt(np.dot(y, y)))  # ||y||, read in place (np.linalg.norm gathers a copy)
-    passed = theta is not None and phase_residual <= tol.tol_residual
+    passed = theta is not None and phase_residual <= RESIDUAL_TOL
 
-    structure = maxent_structure_check(psi, tol)
+    structure = maxent_structure_check(psi)
     return MaxEntReport(
         passed=passed,
         criteria_agree=passed == structure.passed,
@@ -218,10 +211,10 @@ def _require_maxent_qubits(n: int) -> None:
     _require_qubits(n, MAX_STATE_QUBITS)
 
 
-def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> PureState:
+def maxent_generate(n: int, theta: float, nu) -> PureState:
     """Maximally entangled state e^{i theta} sum_l nu_l e_l over the magic basis.
 
-    ``theta`` must be finite and ``nu`` real with unit square sum.
+    ``theta`` must be finite and ``nu`` real with unit square sum, within NORM_TOL.
     """
     _require_maxent_qubits(n)
     if not np.isfinite(theta):
@@ -231,7 +224,7 @@ def maxent_generate(n: int, theta: float, nu, tol: Tolerances = DEFAULT_TOL) -> 
         raise ValueError(f"nu must have length {1 << n} for n={n}, got {nu.shape}")
     with np.errstate(over="ignore"):  # an overflowing sum is inf, which the test rejects
         square_sum = float(np.sum(nu * nu))
-    if not abs(square_sum - 1.0) <= tol.tol_norm:  # also rejects NaN
+    if not abs(square_sum - 1.0) <= NORM_TOL:  # also rejects NaN
         raise ValueError(f"nu must have unit square sum, got {square_sum:.12g}")
     amp = canonical_synthesize(n, nu)
     amp *= np.exp(1j * theta)

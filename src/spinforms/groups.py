@@ -23,11 +23,11 @@ from .bases import (
     unitarity_defect,
 )
 from .core import (
-    DEFAULT_TOL,
+    RESIDUAL_TOL,
     GlobalOperator,
     LocalOperatorList,
-    Tolerances,
     _kron,
+    _quadratic_residual,
     expand_local,
     random_sl2,
 )
@@ -40,19 +40,23 @@ class FormPreservation:
     residual: float
 
 
-def is_form_preserving(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> FormPreservation:
-    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi).
+def is_form_preserving(op: GlobalOperator) -> FormPreservation:
+    """Basis-free criterion flip(M)^dag M = I, i.e. form(M psi, M phi) = form(psi, phi), within RESIDUAL_TOL.
 
     With R the signed reversal, flip(M)^dag M = R G for the form Gram G = (R M)^T M of M's
     columns, and R is a signed permutation, so the residual is ||G - R^T||_F.  G is symmetric
     (even n) or antisymmetric (odd n) and is computed as one half-size product; R^T is r[k] at
-    (~k, k) with r = R 1, subtracted in place.
+    (~k, k) with r = R 1, subtracted in place.  A residual that overflows is inf, not NaN.
     """
-    gram = _form_gram(op.mat)
     rows = np.arange(op.dim)
-    gram[rows[::-1], rows] -= signed_reversal(np.ones(op.dim))
-    residual = float(np.linalg.norm(gram))
-    return FormPreservation(passed=residual <= tol.tol_residual, residual=residual)
+
+    def gram_defect(m, unit):
+        gram = _form_gram(m)
+        gram[rows[::-1], rows] -= signed_reversal(np.full(op.dim, unit))
+        return np.linalg.norm(gram)
+
+    residual = _quadratic_residual(gram_defect, op.mat)
+    return FormPreservation(passed=residual <= RESIDUAL_TOL, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class LocalFormReport:
     passed: bool
 
 
-def local_form_criterion(local: LocalOperatorList, tol: Tolerances = DEFAULT_TOL) -> LocalFormReport:
-    """Per-factor form preservation: every factor in SL(2, C), i.e. |det A_i - 1| <= tol_residual.
+def local_form_criterion(local: LocalOperatorList) -> LocalFormReport:
+    """Per-factor form preservation: every factor in SL(2, C), i.e. |det A_i - 1| <= RESIDUAL_TOL.
 
     flip(A)^dag A = det(A) I exactly for a 2x2 A, so the determinant is the whole
     per-qubit form test.  This judges each factor, not the product: (2I, I/2) fails here
@@ -71,12 +75,10 @@ def local_form_criterion(local: LocalOperatorList, tol: Tolerances = DEFAULT_TOL
     """
     dets = np.linalg.det(np.stack(local.ops))
     gap = float(np.max(np.abs(dets - 1.0)))
-    return LocalFormReport(dets=tuple(complex(d) for d in dets), max_det_gap=gap, passed=gap <= tol.tol_residual)
+    return LocalFormReport(dets=tuple(complex(d) for d in dets), max_det_gap=gap, passed=gap <= RESIDUAL_TOL)
 
 
-def represent_in_basis(
-    op: GlobalOperator, basis: BasisSet | None = None, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def represent_in_basis(op: GlobalOperator, basis: BasisSet | None = None) -> np.ndarray:
     """Matrix of ``op`` in a bi-orthonormal basis: R[j, k] = <B_j | op B_k>.
 
     No basis, or a canonical one (magic_basis, product_biortho_basis), means the canonical basis V,
@@ -89,7 +91,7 @@ def represent_in_basis(
     if basis is None or basis.canonical:
         half = canonical_coefficients(op.n, op.mat).conj().T  # (V^H M)^H = M^H V
         return canonical_coefficients(op.n, half).conj().T
-    _require_biorthonormal(basis, tol)
+    _require_biorthonormal(basis)
     v = basis.matrix()
     return v.conj().T @ op.mat @ v
 
@@ -106,12 +108,7 @@ class HomomorphismReport:
     passed: bool
 
 
-def homomorphism_check(
-    local: LocalOperatorList,
-    trials: int = 10,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> HomomorphismReport:
+def homomorphism_check(local: LocalOperatorList, trials: int = 10, seed: int = 0) -> HomomorphismReport:
     """Witness that unit-determinant local operations represent orthogonally/symplectically.
 
     The input is represented in the parity-appropriate canonical basis; the
@@ -120,7 +117,7 @@ def homomorphism_check(
     R(L L') - R(L) R(L') (the homomorphism property).  det R is reported but
     nothing is asserted about it.
     """
-    check = local_form_criterion(local, tol)
+    check = local_form_criterion(local)
     if not check.passed:
         raise ValueError(f"local factors have determinants {check.dets}, expected 1")
     local = LocalOperatorList(tuple(a / np.sqrt(d) for a, d in zip(local.ops, check.dets)))
@@ -145,7 +142,7 @@ def homomorphism_check(
         form_residual=form_residual,
         max_multiplicativity_residual=worst,
         det_r=complex(np.linalg.det(r)),
-        passed=form_residual <= tol.tol_residual and worst <= tol.tol_residual,
+        passed=form_residual <= RESIDUAL_TOL and worst <= RESIDUAL_TOL,
     )
 
 
@@ -159,12 +156,12 @@ class SloccVerdict:
     note: str
 
 
-def slocc_obstruction(op: GlobalOperator, tol: Tolerances = DEFAULT_TOL) -> SloccVerdict:
+def slocc_obstruction(op: GlobalOperator) -> SloccVerdict:
     """Obstructed iff ``op`` fails form preservation: no rescaling-free local
     operation can equal it, so states it connects lie in different SLOCC
     classes.  NotObstructed is inconclusive (necessary condition only).
     """
-    check = is_form_preserving(op, tol)
+    check = is_form_preserving(op)
     return SloccVerdict(
         obstructed=not check.passed,
         residual=check.residual,
@@ -181,9 +178,7 @@ class OperatorClassReport:
     dets: tuple | None
 
 
-def classify_operator(
-    op: GlobalOperator | LocalOperatorList, tol: Tolerances = DEFAULT_TOL
-) -> OperatorClassReport:
+def classify_operator(op: GlobalOperator | LocalOperatorList) -> OperatorClassReport:
     """All-in-one classification: unitarity and form preservation.
 
     The form residual equals the group defect of op's representation in a
@@ -195,15 +190,15 @@ def classify_operator(
     """
     dets = None
     if isinstance(op, LocalOperatorList):
-        dets = local_form_criterion(op, tol).dets
+        dets = local_form_criterion(op).dets
         factors = op.ops
         op = expand_local(op)  # checks the operator cap before any 2^n x 2^n array
         unitary_residual = float(np.linalg.norm(_minus_identity(_kron(a.conj().T @ a for a in factors))))
     else:
         unitary_residual = unitarity_defect(op.mat)
-    preservation = is_form_preserving(op, tol)
+    preservation = is_form_preserving(op)
     return OperatorClassReport(
-        is_unitary=unitary_residual <= tol.tol_residual,
+        is_unitary=unitary_residual <= RESIDUAL_TOL,
         unitary_residual=unitary_residual,
         is_form_preserving=preservation.passed,
         form_residual=preservation.residual,

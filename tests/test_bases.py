@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -25,7 +26,7 @@ from spinforms.bases import (
     unitarity_defect,
 )
 from spinforms.core import (
-    DEFAULT_TOL,
+    GRAM_TOL,
     MAX_STATE_QUBITS,
     GlobalOperator,
     LocalOperatorList,
@@ -216,6 +217,28 @@ def test_overflowing_form_gram_is_infinite_not_nan():
         report = check_biorthonormal(BasisSet(n, 2.0**300 * _canonical(n).matrix()))
         assert report.hilbert_residual == pytest.approx((2.0**600 - 1) * np.sqrt(1 << n), rel=1e-14)
         assert report.form_residual == pytest.approx((2.0**600 - 1) * np.sqrt(1 << n), rel=1e-14)
+    # a dense mix: the dense route's products overflow, so both residuals are taken again at 2^-e
+    mix = basis_from_orthogonal(random_real_orthogonal(16, 1)).matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        report = check_biorthonormal(BasisSet(4, 1e200 * mix))
+    assert (report.route, report.passed) == ("dense", False)
+    assert report.hilbert_residual == np.inf and report.form_residual == np.inf
+    report = check_biorthonormal(BasisSet(4, 2.0**300 * mix))  # (c^2 - 1) sqrt(16), whose square overflows
+    assert report.hilbert_residual == pytest.approx(4 * (2.0**600 - 1), rel=1e-13)
+    assert report.form_residual == pytest.approx(4 * (2.0**600 - 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("residual, passed", [(1.05e-10, False), (0.95e-10, True)])
+def test_gram_threshold_at_its_boundary(n, residual, passed):
+    # column 0 of the canonical basis scaled by 1 + residual / 2: GRAM_TOL is 1e-10, and the Hilbert
+    # residual (1 + d)^2 - 1 is the larger of the two
+    mat = _canonical(n).matrix().copy()
+    mat[:, 0] *= 1.0 + residual / 2
+    report = check_biorthonormal(BasisSet(n, mat))
+    assert max(report.hilbert_residual, report.form_residual) == pytest.approx(residual, rel=1e-4)
+    assert report.passed is passed
 
 
 def _dense_residuals(v, n):
@@ -231,7 +254,7 @@ def _assert_nonzero_route_matches_dense(mat, n):
     want = _dense_residuals(basis.matrix(), n)
     for got, ref in zip((report.hilbert_residual, report.form_residual), want):
         assert abs(got - ref) <= 1e-14 * max(1.0, ref)
-    assert report.passed == (max(want) <= DEFAULT_TOL.tol_gram)
+    assert report.passed == (max(want) <= GRAM_TOL)
     return report
 
 

@@ -8,7 +8,6 @@ from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
     PureState,
-    Tolerances,
     apply,
     basis_state,
     expand_local,
@@ -143,7 +142,7 @@ def test_fresh_results_are_stored_without_a_copy(monkeypatch, tmp_path):
     bases.magic_basis(2)
     bases.basis_from_orthogonal(np.eye(4))
     with pytest.warns(UserWarning, match="norm"):
-        entanglement._as_normalized(unnormalized, core.DEFAULT_TOL)
+        entanglement._as_normalized(unnormalized)
     assert copied == []
 
 
@@ -315,14 +314,3 @@ def test_random_su2_rows_give_biorthonormal_pair():
     np.testing.assert_allclose(hilbert, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(sympl, [[0, 1], [-1, 0]], atol=1e-12)
 
-
-def test_tolerances_validation():
-    assert Tolerances().tol_residual == 1e-8
-    with pytest.raises(ValueError):
-        Tolerances(tol_norm=-1.0)
-
-
-@pytest.mark.parametrize("name", ["tol_norm", "tol_gram", "tol_residual"])
-def test_tolerances_reject_nan(name):
-    with pytest.raises(ValueError, match=name):
-        Tolerances(**{name: float("nan")})

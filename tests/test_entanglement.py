@@ -14,7 +14,7 @@ from spinforms.bases import (
     state_coefficients,
 )
 from spinforms.core import (
-    DEFAULT_TOL,
+    RESIDUAL_TOL,
     LocalOperatorList,
     PureState,
     apply,
@@ -290,6 +290,14 @@ def test_maxent_generate_rejects_bad_nu():
         maxent_generate(2, 0.0, [1.0, 0])
 
 
+def test_maxent_generate_square_sum_at_the_norm_threshold():
+    # the first magic vector with nu_0^2 = 1 + off: NORM_TOL is 1e-12
+    with pytest.raises(ValueError, match="unit square sum"):
+        maxent_generate(2, 0.0, [np.sqrt(1 + 2e-12), 0, 0, 0])
+    psi = maxent_generate(2, 0.0, [np.sqrt(1 + 5e-13), 0, 0, 0])
+    np.testing.assert_allclose(psi.amp, magic_basis(2).matrix()[:, 0], atol=1e-12)
+
+
 def test_maxent_generate_rejects_overflowing_nu():
     # the square sum overflows to inf, which is rejected without a RuntimeWarning
     with pytest.raises(ValueError, match="unit square sum, got inf"):
@@ -387,8 +395,7 @@ def test_maxent_verdict_at_the_tolerance_boundary(n, seed, theta, ratio):
     # e^{i theta} (sqrt(1 - d^2) nu + i d u) with u orthogonal to nu is d away
     # from maximal entanglement; the half-sum gap is at most d, so the
     # structure criterion decides alike on both sides of the tolerance
-    tol = DEFAULT_TOL.tol_residual
-    d = ratio * tol
+    d = ratio * RESIDUAL_TOL
     rng = np.random.default_rng(seed)
     nu = rng.normal(size=1 << n)
     nu /= np.linalg.norm(nu)
@@ -397,6 +404,6 @@ def test_maxent_verdict_at_the_tolerance_boundary(n, seed, theta, ratio):
     u /= np.linalg.norm(u)
     amp = np.exp(1j * theta) * canonical_synthesize(n, np.sqrt(1.0 - d * d) * nu + 1j * d * u)
     report = is_maximally_entangled(PureState(n, amp))
-    assert report.passed == (d <= tol)
+    assert report.passed == (d <= RESIDUAL_TOL)
     assert report.criteria_agree
     assert abs(report.phase_residual - d) <= 1e-6 * d

@@ -1,9 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinforms.bases import canonical_j, form_defect, magic_basis, product_biortho_basis, unitarity_defect
+from spinforms.bases import (
+    basis_from_orthogonal,
+    canonical_j,
+    check_biorthonormal,
+    form_defect,
+    magic_basis,
+    product_biortho_basis,
+    random_real_orthogonal,
+    unitarity_defect,
+)
 from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
@@ -97,6 +108,41 @@ def test_local_form_criterion():
     assert not bad.passed
     assert bad.dets == (2.0,)
     assert bad.max_det_gap == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("gap, passed", [(2e-8, False), (5e-9, True)])
+def test_local_form_criterion_at_the_residual_threshold(gap, passed):
+    # the squeeze of test_local_form_criterion with det 1 + gap, next to an SU(2) factor: RESIDUAL_TOL is 1e-8
+    local = LocalOperatorList((random_su2(50), np.diag([2.0, 0.5 * (1.0 + gap)])))
+    report = local_form_criterion(local)
+    assert report.max_det_gap == pytest.approx(gap, rel=1e-7)
+    assert report.passed is passed
+
+
+def test_overflowing_dense_residuals_are_infinite_not_nan():
+    # 1e200 I: the products overflow and inf - inf gives NaN, so each residual is taken again at 2^-e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        report = classify_operator(GlobalOperator(2, 1e200 * np.eye(4)))
+        assert (report.unitary_residual, report.form_residual) == (np.inf, np.inf)
+        assert not report.is_unitary and not report.is_form_preserving
+        assert is_form_preserving(GlobalOperator(3, 1e200 * np.eye(8))).residual == np.inf
+        # c I has both residuals (c^2 - 1) sqrt(4): finite, but at 2^510 the first pass's norm overflows
+        for c in (2.0**300, 2.0**510):
+            report = classify_operator(GlobalOperator(2, c * np.eye(4)))
+            assert report.unitary_residual == report.form_residual == pytest.approx(2 * (c * c - 1), rel=1e-15)
+
+
+def test_finite_dense_residuals_take_no_second_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a finite residual was taken again")
+
+    monkeypatch.setattr("spinforms.core._scaled", refuse)
+    for op in (CNOT, random_operator(3, 7), GlobalOperator(2, 1e70 * np.eye(4))):
+        report = classify_operator(op)
+        assert np.isfinite(report.unitary_residual) and np.isfinite(report.form_residual)
+    report = check_biorthonormal(basis_from_orthogonal(random_real_orthogonal(16, 3)))
+    assert report.route == "dense" and report.passed
 
 
 def test_local_form_criterion_judges_each_factor():
@@ -339,9 +385,9 @@ def test_classify_operator_runs_the_form_test_once(monkeypatch):
 
     calls = []
 
-    def counted(op, tol):
+    def counted(op):
         calls.append(op)
-        return is_form_preserving(op, tol)
+        return is_form_preserving(op)
 
     def refuse(*args, **kwargs):
         raise AssertionError("classify_operator built a representation")

@@ -1,5 +1,8 @@
+import inspect
+
 import spinforms
 import spinforms.bases
+import spinforms.core
 import spinforms.flip
 
 
@@ -18,5 +21,13 @@ def test_removed_duplicates_stay_gone():
         (spinforms.flip, "FormParityReport"),
         (spinforms.bases, "gram_pair"),
         (spinforms.bases, "_magic_phases"),  # the reversal sign comes from flip.signed_reversal's tile
+        (spinforms.core, "Tolerances"),  # each verdict reads core.NORM_TOL, GRAM_TOL or RESIDUAL_TOL
+        (spinforms.core, "DEFAULT_TOL"),
+        (spinforms, "Tolerances"),
+        (spinforms, "DEFAULT_TOL"),
     ]:
         assert not hasattr(module, name), name
+    for name in spinforms.__all__:
+        value = getattr(spinforms, name)
+        if callable(value):
+            assert "tol" not in inspect.signature(value).parameters, name
