@@ -10,7 +10,7 @@ import pytest
 
 from spinforms.bases import BasisSet, magic_basis
 from spinforms.cli import _build_parser, main
-from spinforms.core import GlobalOperator, LocalOperatorList, basis_state, make_state
+from spinforms.core import GRAM_TOL, GlobalOperator, LocalOperatorList, basis_state, make_state
 from spinforms.files import (
     read_basis,
     read_operator,
@@ -343,6 +343,21 @@ def test_gram_threshold_is_fixed(tmp_path, capsys):
     assert report["verdicts"]["biorthonormal"] is False
     for residual in report["residuals"].values():
         assert residual == pytest.approx(2e-7, rel=1e-3)
+
+
+def test_tight_gram_flag_cannot_flip_the_verdict(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    run(capsys, "basis", "magic", "-n", 2, "--out", out)
+    code, report = run(capsys, "basis", "check", out)
+    assert code == 0
+    assert report["verdicts"]["biorthonormal"] is True
+    assert max(report["residuals"].values()) <= GRAM_TOL
+    # a tight threshold, after or before the subcommand, is a usage error with no report
+    for argv in (("basis", "check", out, "--tol-gram", "1e-30"), ("basis", "--tol-gram", "1e-30", "check", out)):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 _FORMER_TOLERANCE_COMMANDS = [
