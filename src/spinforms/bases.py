@@ -25,7 +25,6 @@ from .core import (
     _frozen_complex,
     _quadratic_residual,
     _require_qubits,
-    _scaled,
     _value_eq,
 )
 from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes, signed_reversal
@@ -33,9 +32,6 @@ from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes, signed_
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
 _S2 = 1.0 / np.sqrt(2.0)
-# With every part below 2^200, nothing in _nonzero_gram_residuals overflows: a product's parts are below
-# 2^401, a key sums fewer than 2^16 products, and the sum of fewer than 2^18 squared parts is below 2^852.
-_UNSCALED_EXP = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +98,7 @@ def _minus_identity(gram: np.ndarray, unit: float = 1.0) -> np.ndarray:
     return gram
 
 
-def _minus_j(gram: np.ndarray, unit: float = 1.0) -> np.ndarray:
+def _minus_j(gram: np.ndarray, unit: float) -> np.ndarray:
     """gram - unit * canonical_j, in place on a square array of even size the caller owns."""
     even = np.arange(0, gram.shape[0], 2)
     gram[even, even + 1] -= unit
@@ -116,11 +112,16 @@ def unitarity_defect(x: np.ndarray) -> float:
 
 
 def form_defect(x: np.ndarray, kind: FormKind) -> float:
-    """||x^T T x - T||_F with T = I (orthogonal) or canonical J (symplectic): zero iff x is in the group."""
-    if kind is FormKind.ORTHOGONAL:
-        return float(np.linalg.norm(_minus_identity(x.T @ x)))
-    pairs = x[0::2].T @ x[1::2]  # x^T J x = X - X^T with X over the row pairs (2m, 2m+1)
-    return float(np.linalg.norm(_minus_j(np.subtract(pairs, pairs.T))))
+    """||x^T T x - T||_F with T = I (orthogonal) or canonical J (symplectic): zero iff x is in the group;
+    inf, not NaN, where it overflows (core._quadratic_residual)."""
+
+    def defect(y, unit):
+        if kind is FormKind.ORTHOGONAL:
+            return np.linalg.norm(_minus_identity(y.T @ y, unit))
+        pairs = y[0::2].T @ y[1::2]  # y^T J y = Y - Y^T with Y over the row pairs (2m, 2m+1)
+        return np.linalg.norm(_minus_j(np.subtract(pairs, pairs.T), unit))
+
+    return _quadratic_residual(defect, x)
 
 
 def _product_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +248,8 @@ def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
 
     Route "nonzero" when no row of V has more than two nonzero entries (the canonical bases, their row
     permutations, phase changes and in-pair mixes): both Grams are summed from those entries only, in
-    one O(4^n) scan and O(2^n log 2^n) after it.  Route "dense" otherwise: two dense products, taken again
-    at 2^-e where they overflow (core._quadratic_residual).  On either route an overflowing residual is inf.
+    one O(4^n) scan and O(2^n log 2^n) after it.  Route "dense" otherwise: two dense products.  Both routes
+    take their residuals through core._quadratic_residual, so an overflowing residual is inf, not NaN.
     """
     dim = 1 << n
     nonzero = v != 0
@@ -272,40 +273,35 @@ def _nonzero_gram_residuals(n: int, rows, cols, values) -> tuple[float, float]:
     Row r goes into two slots (col[r], val[r]), zero-padded.  The Hilbert Gram is sum_r val[r]^H val[r]
     and the form Gram F = (R V)^T V is sum_r (R val)[r]^T val[r], where (R val)[r] sits in the columns
     of row ~r.  form - T = (-i)^n (F - i^n T) has the norm of F - i^n T, so the targets enter the sums
-    as terms -I and -i^n T, and the terms are summed by (Gram, column, column) key.  Values with a part
-    of 2^_UNSCALED_EXP or more are first scaled by 2^-e (core._scaled, exact), so no product or sum
-    overflows and a residual too large for a float is inf, not NaN.
+    as terms -I and -i^n T, and the terms are summed by (Gram, column, column) key.  The keys, their order
+    and the sum boundaries depend on the columns only and are built once; the sums are taken through
+    core._quadratic_residual on the slot values, so a residual too large for a float is inf, not NaN.
     """
     dim = 1 << n
     flat = 2 * rows  # slot 0 of each entry's row; the second entry of a row goes to slot 1
     flat[1:] += rows[1:] == rows[:-1]
     col, val = np.zeros((dim, 2), dtype=np.intp), np.zeros((dim, 2), dtype=np.complex128)
     col.ravel()[flat], val.ravel()[flat] = cols, values
-    keys, terms, signs = _gram_targets(n)
-    scaled, exp = _scaled(val)
-    if exp > _UNSCALED_EXP:  # V 2^-e has the Grams G 2^-2e, and I and T enter as 2^-2e I and 2^-2e T
-        val, terms = scaled, np.ldexp(terms.view(np.float64), -2 * exp).view(np.complex128)
-    else:
-        exp = 0
+    target_keys, targets, signs = _gram_targets(n)
     # left factors, Gram by Gram: conj(val) for the Hilbert Gram, R val (rows ~r, signed) for the form
     # Gram, whose columns are offset by dim so that its keys are offset by dim^2
     left_col = np.concatenate([col, col[::-1] + dim]).reshape(2, dim, 2, 1)
-    left_val = np.concatenate([val.conj(), val[::-1] * signs]).reshape(2, dim, 2, 1)
-    keys = np.concatenate([(left_col * dim + col[:, None, :]).ravel(), keys])
-    terms = np.concatenate([(left_val * val[:, None, :]).ravel(), terms])
+    keys = np.concatenate([(left_col * dim + col[:, None, :]).ravel(), target_keys])
     order = np.argsort(keys)
     keys = keys[order]
     firsts = np.empty(keys.size, dtype=bool)
     firsts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=firsts[1:])
     firsts = np.flatnonzero(firsts)
-    parts = np.add.reduceat(terms[order], firsts).view(np.float64)  # (real, imaginary) of each entry
     split = 2 * np.searchsorted(keys[firsts], dim * dim)
-    residuals = [np.sqrt(x @ x) for x in (parts[:split], parts[split:])]
-    if not exp:
-        return float(residuals[0]), float(residuals[1])
-    with np.errstate(over="ignore"):  # a residual too large for a float is inf
-        return float(np.ldexp(residuals[0], 2 * exp)), float(np.ldexp(residuals[1], 2 * exp))
+
+    def residuals(y, unit):
+        left = np.concatenate([y.conj(), y[::-1] * signs]).reshape(2, dim, 2, 1)
+        terms = np.concatenate([(left * y[:, None, :]).ravel(), targets * unit])
+        parts = np.add.reduceat(terms[order], firsts).view(np.float64)  # (real, imaginary) of each entry
+        return tuple(np.sqrt(x @ x) for x in (parts[:split], parts[split:]))
+
+    return _quadratic_residual(residuals, val)
 
 
 @lru_cache(maxsize=MAX_OPERATOR_QUBITS)  # one entry per n; the arrays are read-only

@@ -37,7 +37,7 @@ from .core import (
     random_sl2,
     random_su2,
 )
-from .entanglement import _as_normalized, _require_maxent_qubits, is_maximally_entangled, maxent_generate, tangle
+from .entanglement import _require_maxent_qubits, is_maximally_entangled, maxent_generate, tangle
 from .files import (
     REPORT_FORMAT,
     FileFormatError,
@@ -48,13 +48,7 @@ from .files import (
     write_operator,
     write_state,
 )
-from .flip import (
-    FormKind,
-    bilinear_form,
-    bilinear_form_dense,
-    flip_state,
-    flip_state_dense,
-)
+from .flip import FormKind, bilinear_form, flip_state
 from .groups import SLOCC_NOTE, classify_operator, represent_in_basis
 from .selftest import run_selftest
 
@@ -89,18 +83,13 @@ def _emit(args, verdicts: dict, residuals: dict | None = None, values: dict | No
 
 def _cmd_flip(args) -> int:
     psi = read_state(args.state)
-    flipped = flip_state_dense(psi) if args.dense_oracle else flip_state(psi)
-    write_state(args.out, flipped)
-    return _emit(
-        args,
-        verdicts={},
-        values={"n": psi.n, "out": args.out, "dense_oracle": bool(args.dense_oracle)},
-    )
+    write_state(args.out, flip_state(psi))
+    return _emit(args, verdicts={}, values={"n": psi.n, "out": args.out})
 
 
 def _cmd_form(args) -> int:
     psi, phi = read_state(args.state_a), read_state(args.state_b)
-    result = bilinear_form_dense(psi, phi) if args.dense_oracle else bilinear_form(psi, phi)
+    result = bilinear_form(psi, phi)
     return _emit(
         args,
         verdicts={},
@@ -110,12 +99,8 @@ def _cmd_form(args) -> int:
 
 def _cmd_tangle(args) -> int:
     psi = read_state(args.state)
-    if args.dense_oracle:
-        psi = _as_normalized(psi)
-        value = abs(bilinear_form_dense(psi, psi).value)
-    else:
-        value = tangle(psi)
-    return _emit(args, verdicts={}, values={"n": psi.n, "kind": FormKind.for_qubits(psi.n).value, "tangle": value})
+    values = {"n": psi.n, "kind": FormKind.for_qubits(psi.n).value, "tangle": tangle(psi)}
+    return _emit(args, verdicts={}, values=values)
 
 
 def _cmd_basis(args) -> int:
@@ -269,18 +254,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flip", help="spin-flip a state file")
     p.add_argument("state")
     p.add_argument("--out", required=True)
-    p.add_argument("--dense-oracle", action="store_true", help="force the dense sigma_y^(x)n path (n <= 8)")
     p.set_defaults(func=_cmd_flip)
 
     p = sub.add_parser("form", help="bilinear form of two state files")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    p.add_argument("--dense-oracle", action="store_true")
     p.set_defaults(func=_cmd_form)
 
     p = sub.add_parser("tangle", help="entanglement quadratic form of a state file")
     p.add_argument("state")
-    p.add_argument("--dense-oracle", action="store_true")
     p.set_defaults(func=_cmd_tangle)
 
     p = sub.add_parser("basis", help="emit or check bi-orthonormal bases")

@@ -112,19 +112,20 @@ def _scaled(amp: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(amp.view(np.float64), -exp, out=parts).view(amp.dtype), int(exp)
 
 
-def _quadratic_residual(residual, x: np.ndarray) -> float:
-    """residual(x, 1.0), for a residual ||G(x) - unit * T|| with G(x) quadratic in x, such as x^H x - I.
+def _quadratic_residual(residual, x: np.ndarray) -> float | tuple[float, ...]:
+    """residual(x, 1.0), for residuals ||G(x) - unit * T|| with G(x) quadratic in x, such as x^H x - I:
+    one float, or a tuple of floats when residual returns a tuple.
 
-    Where it is not finite although x is (a product overflowed, and inf - inf gave NaN), it is taken again
-    on x 2^-e (_scaled, exact) with the target at 2^-2e and scaled back by 2^2e, so an overflowing residual
-    is inf, not NaN.  A finite residual takes no further pass.  No numpy warning escapes.
+    Where any value is not finite although x is (a product overflowed, and inf - inf gave NaN), all are taken
+    again on x 2^-e (_scaled, exact) with the targets at 2^-2e and scaled back by 2^2e, so an overflowing
+    residual is inf, not NaN.  Finite residuals take no further pass.  No numpy warning escapes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(residual(x, 1.0))
-        if np.isfinite(value) or not np.isfinite(x).all():
-            return value
-        scaled, exp = _scaled(np.ascontiguousarray(x))
-        return float(np.ldexp(residual(scaled, np.ldexp(1.0, -2 * exp)), 2 * exp))
+        values = np.asarray(residual(x, 1.0), dtype=np.float64)
+        if not np.isfinite(values).all() and np.isfinite(x).all():
+            scaled, exp = _scaled(np.ascontiguousarray(x))
+            values = np.ldexp(np.asarray(residual(scaled, np.ldexp(1.0, -2 * exp)), dtype=np.float64), 2 * exp)
+    return float(values) if values.ndim == 0 else tuple(values.tolist())
 
 
 @dataclass(frozen=True, eq=False)

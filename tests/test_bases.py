@@ -207,10 +207,12 @@ def test_basis_set_rejects_bad_shape_and_qubit_count():
 
 
 def test_overflowing_form_gram_is_infinite_not_nan():
-    # the Grams of the 1e200-scaled canonical bases overflow; the nonzero route sums them at 2^-e,
-    # so no inf - inf or inf * 0 gives NaN, and no numpy warning is raised
+    # the Grams of the 1e200-scaled canonical bases overflow and inf - inf gives NaN, so the nonzero
+    # route's sums are taken again at 2^-e, and no numpy warning is raised
     for n in range(1, 7):
-        report = check_biorthonormal(BasisSet(n, 1e200 * _canonical(n).matrix()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_biorthonormal(BasisSet(n, 1e200 * _canonical(n).matrix()))
         assert (report.route, report.passed) == ("nonzero", False)
         assert report.hilbert_residual == np.inf and report.form_residual == np.inf
         # below the overflow, the residual is the exact ||c^2 G - I|| = (c^2 - 1) sqrt(2^n)
@@ -464,6 +466,20 @@ def test_form_defect(n):
         x, want = np.diag([1.0, -1.0] * (dim // 2)), 2.0 * np.sqrt(dim)  # x^T J x = -J
     assert form_defect(x, kind) == pytest.approx(want)
     assert form_defect(x, other) == 0.0
+
+
+def test_overflowing_form_defect_is_infinite_not_nan():
+    # 1e200 times a group member: x^T T x overflows and inf - inf gives NaN, so it is taken again at 2^-e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        assert form_defect(1e200 * random_real_orthogonal(8, 4), FormKind.ORTHOGONAL) == np.inf
+        assert form_defect(1e200 * random_unitary_symplectic(8, 4), FormKind.SYMPLECTIC) == np.inf
+        with pytest.raises(ValueError, match="form defect inf"):
+            basis_from_unitary_symplectic(1e200 * random_unitary_symplectic(8, 4))
+    # c I has the defect (c^2 - 1) sqrt(4): finite, but at 2^510 the first pass's norm overflows
+    for c in (2.0**300, 2.0**510):
+        for kind, t in ((FormKind.ORTHOGONAL, np.eye(4)), (FormKind.SYMPLECTIC, canonical_j(4))):
+            assert form_defect(c * t, kind) == pytest.approx(2 * (c * c - 1), rel=1e-15)
 
 
 def test_random_unitary_symplectic_membership():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -45,16 +46,6 @@ def test_flip_twice_gives_sign(tmp_path, capsys):
     assert run(capsys, "flip", src, "--out", once)[0] == 0
     assert run(capsys, "flip", once, "--out", twice)[0] == 0
     np.testing.assert_allclose(read_state(twice).amp, -psi.amp, atol=1e-15)
-
-
-def test_flip_dense_oracle_agrees(tmp_path, capsys):
-    src, a, b = tmp_path / "in.json", tmp_path / "a.json", tmp_path / "b.json"
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=8) + 1j * rng.normal(size=8)
-    write_state(src, make_state(3, z / np.linalg.norm(z)))
-    run(capsys, "flip", src, "--out", a)
-    run(capsys, "flip", src, "--out", b, "--dense-oracle")
-    np.testing.assert_allclose(read_state(a).amp, read_state(b).amp, atol=1e-14)
 
 
 def test_flip_malformed_file_exits_2(tmp_path, capsys):
@@ -105,7 +96,7 @@ def test_tangle_odd_n_vanishes(tmp_path, capsys):
     rng = np.random.default_rng(11)
     z = rng.normal(size=8) + 1j * rng.normal(size=8)
     write_state(path, make_state(3, z / np.linalg.norm(z)))
-    code, report = run(capsys, "tangle", path, "--dense-oracle")
+    code, report = run(capsys, "tangle", path)
     assert code == 0
     assert report["values"]["tangle"] == pytest.approx(0.0, abs=1e-12)
 
@@ -373,15 +364,25 @@ _FORMER_TOLERANCE_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("flag", ["--tol-norm", "--tol-gram", "--tol-residual"])
+# the dense sigma_y^(x)n oracle is a second path for tests only (flip_state_dense, bilinear_form_dense)
+_FORMER_ORACLE_COMMANDS = [
+    ("flip", "{state}", "--out", "{out}"),
+    ("form", "{state}", "{state}"),
+    ("tangle", "{state}"),
+]
+
+
+@pytest.mark.parametrize("flag", ["--tol-norm", "--tol-gram", "--tol-residual", "--dense-oracle"])
 def test_removed_tolerance_flag_is_a_usage_error(tmp_path, capsys, flag):
-    # the thresholds are fixed; each command that took the flag rejects it before it reads or writes a file
+    # the thresholds are fixed and the oracle is not a CLI path; each command that took the flag rejects it
+    # before it reads or writes a file
     files = {name: tmp_path / f"{name}.json" for name in ("state", "basis", "operator", "out")}
     write_state(files["state"], make_state(2, [S2, 0, 0, S2]))
     write_basis(files["basis"], magic_basis(2))
     write_operator(files["operator"], GlobalOperator(2, np.eye(4)))
-    for command in _FORMER_TOLERANCE_COMMANDS:
-        argv = [part.format(**files) for part in command] + [flag, "1e-3"]
+    oracle = flag == "--dense-oracle"
+    for command in _FORMER_ORACLE_COMMANDS if oracle else _FORMER_TOLERANCE_COMMANDS:
+        argv = [part.format(**files) for part in command] + ([flag] if oracle else [flag, "1e-3"])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -406,6 +407,24 @@ def test_every_flag_in_the_readme_is_accepted_by_a_leaf_command():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--trace"}
     accepted = {flag for leaf in _leaf_parsers(_build_parser()) for a in leaf._actions for flag in a.option_strings}
     assert documented and documented <= accepted, sorted(documented - accepted)
+
+
+def test_every_readme_cli_example_runs(tmp_path, capsys, monkeypatch):
+    # each line of the README's sh block, in order, on the files it names; the full self-test is
+    # test_acceptance.py's run, so it is left out here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("spinforms ")]
+    lines = [argv for argv in lines if argv[-2:] != ["--level", "full"]]
+    assert len(lines) == 14
+    monkeypatch.chdir(tmp_path)
+    write_state("state.json", make_state(2, [S2, 0, 0, S2]))
+    write_state("a.json", make_state(2, [0.6, 0, 0, 0.8j]))
+    write_state("b.json", basis_state(2, 3))
+    for argv in lines:
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1), argv
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("kernel broke"), MemoryError("out of memory")])
@@ -503,7 +522,10 @@ def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, comma
     assert "Infinity" in flat or "NaN" in flat
     if command == "form":
         assert report["values"]["value"] == ["-Infinity", 0.0]  # the exact form -1e400 + 0j
-    if command == "basis check":  # the nonzero route scales before it sums, so the residuals are inf, not NaN
+    if command == "basis check":  # the nonzero route's sums are taken again at 2^-e, so they are inf, not NaN
         assert report["residuals"] == {"hilbert_gram": "Infinity", "form_gram": "Infinity"}
     if command == "op classify":  # both dense residuals are taken again at 2^-e, so they are inf, not NaN
         assert report["residuals"] == {"form_preservation": "Infinity", "unitarity": "Infinity"}
+    if command == "op represent":  # form_defect is taken again at 2^-e, and its products warn of nothing
+        assert report["residuals"] == {"form_defect": "Infinity"}
+        assert not any("matmul" in w for w in report["values"]["warnings"])

@@ -24,6 +24,7 @@ from spinforms.core import (
     random_sl2,
     random_su2,
 )
+from spinforms.files import read_basis, write_basis
 from spinforms.flip import FormKind, bilinear_form, flip_local, spin_flip_matrix
 from spinforms.groups import (
     classify_operator,
@@ -133,16 +134,29 @@ def test_overflowing_dense_residuals_are_infinite_not_nan():
             assert report.unitary_residual == report.form_residual == pytest.approx(2 * (c * c - 1), rel=1e-15)
 
 
-def test_finite_dense_residuals_take_no_second_pass(monkeypatch):
+def test_finite_dense_residuals_take_no_second_pass(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a finite residual was taken again")
 
     monkeypatch.setattr("spinforms.core._scaled", refuse)
+    # bases must not scale on its own: a name imported from core there would escape the stub above
+    monkeypatch.setattr("spinforms.bases._scaled", refuse, raising=False)
     for op in (CNOT, random_operator(3, 7), GlobalOperator(2, 1e70 * np.eye(4))):
         report = classify_operator(op)
         assert np.isfinite(report.unitary_residual) and np.isfinite(report.form_residual)
     report = check_biorthonormal(basis_from_orthogonal(random_real_orthogonal(16, 3)))
     assert report.route == "dense" and report.passed
+    # the nonzero route, on the canonical bases and on their file copies, which are not marked canonical
+    for n, basis in ((8, magic_basis(8)), (7, product_biortho_basis(7))):
+        path = tmp_path / f"basis{n}.json"
+        write_basis(path, basis)
+        for b in (basis, read_basis(path)):
+            report = check_biorthonormal(b)
+            assert report.route == "nonzero" and report.passed
+    for n in (2, 3):
+        kind = FormKind.for_qubits(n)
+        assert form_defect(represent_in_basis(random_operator(n, 8)), kind) > 1.0
+        assert form_defect(represent_in_basis(expand_local(sl2_list(n, 30))), kind) <= 1e-10
 
 
 def test_local_form_criterion_judges_each_factor():
