@@ -155,13 +155,13 @@ def canonical_synthesize(n: int, coeffs) -> np.ndarray:
         out *= phases
     else:
         even, odd = flat[0::2], flat[1::2]
-        # for even n the magic phase c_k is i^n times the reversal sign of row k, the tile
-        for rows, bottom, tile in _signed_blocks(out, 1 << (n - 1)):  # bottom is rows ~k of out
+        # for even n the magic phase c_k is i^n times the reversal sign of row k: the tile carries c_k / sqrt(2)
+        for rows, bottom, tile in _signed_blocks(out, 1 << (n - 1), i_power(n).real * _S2):  # bottom: rows ~k
             i_odd, top = 1j * odd[rows], out[rows]
             np.add(even[rows], i_odd, out=top)
             np.subtract(even[rows], i_odd, out=bottom)
             top *= _S2
-            bottom *= tile * (i_power(n).real * _S2)
+            bottom *= tile
     return result
 
 
@@ -176,10 +176,10 @@ def canonical_coefficients(n: int, x) -> np.ndarray:
         rows, phases = _product_layout(n)
         return (flat[rows] * phases[rows].conj()).reshape(np.shape(x))
     out = np.empty(flat.shape, dtype=np.complex128)
-    # c_k x_~k = i^n (R x)[k]: for even n the magic phase is i^n times the reversal sign of row k, the tile
-    for rows, block, tile in _signed_blocks(flat, 1 << (n - 1)):
-        reflected = block * (tile * i_power(n).real)
+    # c_k x_~k = i^n (R x)[k]: for even n the magic phase is i^n times the reversal sign of row k, the tile carries it
+    for rows, block, tile in _signed_blocks(flat, 1 << (n - 1), i_power(n).real):
         plus, minus = out[0::2][rows], out[1::2][rows]
+        reflected = np.multiply(block, tile, out=minus)  # held in the odd rows until they are written
         np.add(flat[rows], reflected, out=plus)
         np.subtract(flat[rows], reflected, out=minus)
         plus *= _S2

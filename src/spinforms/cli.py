@@ -49,7 +49,7 @@ from .files import (
     write_state,
 )
 from .flip import FormKind, bilinear_form, flip_state
-from .groups import SLOCC_NOTE, classify_operator, represent_in_basis
+from .groups import SLOCC_NOTE, _det, classify_operator, represent_in_basis
 from .selftest import run_selftest
 
 
@@ -194,7 +194,7 @@ def _cmd_op(args) -> int:
         args,
         verdicts={"form_defect_ok": defect <= RESIDUAL_TOL},
         residuals={"form_defect": defect},
-        values={"n": as_global.n, "kind": kind.value, "det_r": _pair(complex(np.linalg.det(r)))},
+        values={"n": as_global.n, "kind": kind.value, "det_r": _pair(_det(r))},
     )
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
+from .bits import i_power
 from .core import MAX_STATE_QUBITS, NORM_TOL, RESIDUAL_TOL, PureState, _freeze, _require_qubits, normalize
-from .flip import _signed_dot, bilinear_form, flip_amplitudes
+from .flip import _TILE_BITS, _signed_blocks, _signed_terms, bilinear_form
 
 
 def _as_normalized(psi: PureState) -> PureState:
@@ -31,17 +32,36 @@ def _as_normalized(psi: PureState) -> PureState:
     return normalize(psi)
 
 
+def _tangle_and_norm(x: np.ndarray) -> tuple[float, float]:
+    """(2 |sum over k < h of (-1)^popcount(~k) x[~k] x[k]|, ||x||^2), h = 2^(n-1), in one read of x.
+
+    The sum is _signed_dot(x, x, h) term for term.  Both halves of x go through the norm while their
+    block is in cache: rows k forward and, for rows ~k, the forward slice under the reversed block.
+    """
+    dim, total, norm_sq = x.shape[0], np.zeros(2), 0.0
+    for rows, sums in _signed_terms(x, x, dim // 2):
+        total += sums
+        low, high = x[rows], x[dim - rows.stop : dim - rows.start]
+        norm_sq += np.vdot(low, low).real + np.vdot(high, high).real
+    return 2.0 * abs(complex(total[0], total[1])), norm_sq
+
+
 def tangle(psi: PureState) -> float:
     """|<flip(psi)|psi>| for normalized psi, computed matrix-free.
 
     Non-normalized input triggers a warning and the normalization is factored
-    out (the form is quadratic, so this equals dividing by <psi|psi>).
+    out (the form is quadratic, so this equals dividing by <psi|psi>).  For odd
+    n the form is antisymmetric, so the tangle is exactly 0.0.
     """
-    psi = _as_normalized(psi)
     if psi.n % 2:
-        return abs(bilinear_form(psi, psi).value)
+        _as_normalized(psi)  # for its warning, or its error on the zero vector
+        return 0.0
     # even n: the terms of k and ~k in the form's sum are equal, so half the rows suffice
-    return 2.0 * abs(_signed_dot(psi.amp, psi.amp, psi.dim // 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is rescaled below
+        value, norm_sq = _tangle_and_norm(psi.amp)
+    if abs(norm_sq - 1.0) <= NORM_TOL:
+        return value
+    return _tangle_and_norm(_as_normalized(psi).amp)[0]
 
 
 def tangle_from_coefficients(coeffs) -> float:
@@ -125,6 +145,30 @@ class StructureReport:
     half_sum_gap: float
 
 
+def _structure_report(x: np.ndarray, theta: float | None) -> StructureReport:
+    """Structural residuals of normalized amplitudes x at the phase theta (None: no witness, residuals at zero phase).
+
+    The relation residual ||e^{2i theta} flip(x) - x|| is summed block by block in one tile-sized
+    buffer, with no flip of the whole state; the half-sum over rows k < 2^(n-1) rides on the same read.
+    """
+    h = x.shape[0] // 2
+    phase = np.exp(2j * (theta or 0.0)) * i_power(h.bit_length())  # e^{2i theta} i^n, n = log2(2h)
+    buf = np.empty(min(x.shape[0], 1 << _TILE_BITS), dtype=np.complex128)
+    relation_sq = lower_sq = 0.0
+    for rows, block, tile in _signed_blocks(x, phase=phase):
+        part = np.conjugate(block, out=buf[: len(block)])
+        part *= tile
+        part -= x[rows]
+        relation_sq += np.vdot(part, part).real
+        lower = x[rows.start : min(rows.stop, h)]  # |e^{-i theta} x_k| = |x_k|
+        lower_sq += np.vdot(lower, lower).real
+    relation_residual, half_sum_gap = float(np.sqrt(relation_sq)), float(abs(lower_sq - 0.5))
+    passed = theta is not None and relation_residual <= 2 * RESIDUAL_TOL and half_sum_gap <= RESIDUAL_TOL
+    return StructureReport(
+        passed=passed, theta=theta, relation_residual=relation_residual, half_sum_gap=half_sum_gap
+    )
+
+
 def maxent_structure_check(psi: PureState) -> StructureReport:
     """Structural form of maximal entanglement in the computational basis.
 
@@ -143,17 +187,7 @@ def maxent_structure_check(psi: PureState) -> StructureReport:
     form = bilinear_form(psi, psi).value
     # a vanishing form admits no phase witness (a flip-fixed normalized state
     # has form 1); residuals are then reported at zero phase
-    theta = float(np.angle(form) / 2.0) if form != 0 else None
-    relation = flip_amplitudes(psi.amp)
-    if theta is not None:
-        relation *= np.exp(2j * theta)  # same norm as flip(psi) - e^{-2i theta} psi, with no temporary
-    relation -= psi.amp
-    relation_residual = float(np.linalg.norm(relation))
-    half_sum_gap = float(abs(np.linalg.norm(psi.amp[: psi.dim // 2]) ** 2 - 0.5))  # |e^{-i theta} psi_k| = |psi_k|
-    passed = theta is not None and relation_residual <= 2 * RESIDUAL_TOL and half_sum_gap <= RESIDUAL_TOL
-    return StructureReport(
-        passed=passed, theta=theta, relation_residual=relation_residual, half_sum_gap=half_sum_gap
-    )
+    return _structure_report(psi.amp, float(np.angle(form) / 2.0) if form != 0 else None)
 
 
 @dataclass(frozen=True)
@@ -192,7 +226,7 @@ def is_maximally_entangled(psi: PureState) -> MaxEntReport:
     phase_residual = float(np.sqrt(np.dot(y, y)))  # ||y||, read in place (np.linalg.norm gathers a copy)
     passed = theta is not None and phase_residual <= RESIDUAL_TOL
 
-    structure = maxent_structure_check(psi)
+    structure = _structure_report(psi.amp, theta)  # theta of the form over c: maxent_structure_check's, to rounding
     return MaxEntReport(
         passed=passed,
         criteria_agree=passed == structure.passed,

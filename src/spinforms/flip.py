@@ -49,19 +49,27 @@ class FormValue:
 _TILE_BITS = 13
 
 
-def _signed_blocks(x: np.ndarray, stop: int | None = None):
+def _signed_blocks(x: np.ndarray, stop: int | None = None, phase: complex = 1.0):
     """Yield (rows, block, tile) for consecutive row blocks of x[::-1] up to row ``stop`` (default all).
 
-    block * tile is signed_reversal(x)[rows].  For k = a * 2^l + b with l = min(n, _TILE_BITS),
+    block * tile is phase * signed_reversal(x)[rows].  For k = a * 2^l + b with l = min(n, _TILE_BITS),
     the sign of row k factors as (-1)^popcount(~k) = (-1)^n * s_hi[a] * s_lo[b], so each block
-    gets the one cached tile s_lo or its negation and no 2^n-entry mask is built.
+    gets one of the two tiles s_lo * phase and -s_lo * phase, built once, and no 2^n-entry mask is built.
     """
     n = x.shape[0].bit_length() - 1
     if n < 0 or x.shape[0] != 1 << n:
         raise ValueError(f"expected 2^n rows along axis 0, got shape {x.shape}")
     low = min(n, _TILE_BITS)
-    tile = parity_signs(low).reshape((-1,) + (1,) * (x.ndim - 1))
-    tiles = (tile, -tile)
+    # entries (+-1) * phase, as a whole-mask product gives them.  The signs are cast to phase's type first,
+    # as a mixed-type product allocates a cast buffer; -conj(s + 0j) = -s + 0j is the cast of -s.
+    dtype = np.complex128 if isinstance(phase, complex) else np.float64
+    positive = parity_signs(low).reshape((-1,) + (1,) * (x.ndim - 1)).astype(dtype, copy=False)
+    negative = np.conjugate(positive)
+    np.negative(negative, out=negative)
+    if phase != 1:  # a product with 1 or 1 + 0j leaves every bit of these tiles as it is
+        positive *= phase
+        negative *= phase
+    tiles = (positive, negative)
     end = x.shape[0] if stop is None else min(stop, x.shape[0])
     for start in range(0, end, 1 << low):
         block_rows = slice(start, min(start + (1 << low), end))
@@ -96,24 +104,33 @@ def _form_gram(x: np.ndarray) -> np.ndarray:
 def flip_amplitudes(x) -> np.ndarray:
     """Spin flip sigma_y^(x)n conj(x) of amplitude vectors along axis 0, in one pass per column.
 
-    The sign, the conjugate and the phase i^n are applied to each block while it is in cache.
+    Each block is conjugated into the output and multiplied there, while in cache, by the sign
+    tile with the phase i^n already on it.
     """
     x = np.asarray(x, dtype=np.complex128)
     out = np.empty(x.shape, dtype=np.complex128)
-    phase = i_power(x.shape[0].bit_length() - 1)
-    for rows, block, tile in _signed_blocks(x):
-        part = np.multiply(block, tile, out=out[rows])
-        np.multiply(np.conjugate(part, out=part), phase, out=part)
+    for rows, block, tile in _signed_blocks(x, phase=i_power(x.shape[0].bit_length() - 1)):
+        part = np.conjugate(block, out=out[rows])
+        part *= tile
     return out
 
 
-def _signed_dot(x: np.ndarray, y: np.ndarray, stop: int) -> complex:
-    """sum over k < stop of (-1)^popcount(~k) x[~k] y[k], block by block with no full-size product."""
+def _signed_terms(x: np.ndarray, y: np.ndarray, stop: int):
+    """Yield (rows, sums) with sums the (real, imaginary) sum of (-1)^popcount(~k) x[~k] y[k] over the block's rows k.
+
+    Each block product goes to one tile-sized buffer, so no full-size product is built.
+    """
     buf = np.empty(min(stop, 1 << _TILE_BITS), dtype=np.complex128)
+    for rows, block, tile in _signed_blocks(x, stop):
+        product = np.multiply(block, y[rows], out=buf[: len(block)])
+        yield rows, tile @ product.view(np.float64).reshape(-1, 2)
+
+
+def _signed_dot(x: np.ndarray, y: np.ndarray, stop: int) -> complex:
+    """sum over k < stop of (-1)^popcount(~k) x[~k] y[k], block by block."""
     total = np.zeros(2)
-    for block_rows, block, tile in _signed_blocks(x, stop):
-        product = np.multiply(block, y[block_rows], out=buf[: len(block)])
-        total += tile @ product.view(np.float64).reshape(-1, 2)  # (real, imaginary) row sums
+    for _, sums in _signed_terms(x, y, stop):
+        total += sums
     return complex(total[0], total[1])
 
 

@@ -108,6 +108,18 @@ class HomomorphismReport:
     passed: bool
 
 
+def _det(m: np.ndarray) -> complex:
+    """det(m) from np.linalg.slogdet, so a determinant past the float range reads inf, with no warning.
+
+    Each part of the phase is multiplied by the magnitude on its own: an exactly-zero part stays 0.0
+    where the complex product would give inf * 0 = NaN.
+    """
+    phase, log_magnitude = np.linalg.slogdet(m)
+    with np.errstate(over="ignore"):
+        magnitude = np.exp(log_magnitude)
+    return complex(*(part * magnitude if part else 0.0 for part in (phase.real, phase.imag)))
+
+
 def homomorphism_check(local: LocalOperatorList, trials: int = 10, seed: int = 0) -> HomomorphismReport:
     """Witness that unit-determinant local operations represent orthogonally/symplectically.
 
@@ -141,7 +153,7 @@ def homomorphism_check(local: LocalOperatorList, trials: int = 10, seed: int = 0
         seed=seed,
         form_residual=form_residual,
         max_multiplicativity_residual=worst,
-        det_r=complex(np.linalg.det(r)),
+        det_r=_det(r),
         passed=form_residual <= RESIDUAL_TOL and worst <= RESIDUAL_TOL,
     )
 

@@ -529,3 +529,6 @@ def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, comma
     if command == "op represent":  # form_defect is taken again at 2^-e, and its products warn of nothing
         assert report["residuals"] == {"form_defect": "Infinity"}
         assert not any("matmul" in w for w in report["values"]["warnings"])
+        # det R = 1e800 is real: its magnitude overflows, its zero imaginary part stays 0.0
+        assert report["values"]["det_r"] == ["Infinity", 0.0]
+        assert not any("det" in w for w in report["values"]["warnings"])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spinforms.bases import (
     state_coefficients,
 )
 from spinforms.core import (
+    NORM_TOL,
     RESIDUAL_TOL,
     LocalOperatorList,
     PureState,
@@ -36,7 +38,7 @@ from spinforms.entanglement import (
     tangle_from_coefficients,
     tangle_result,
 )
-from spinforms.flip import bilinear_form_dense, flip_state_dense
+from spinforms.flip import _signed_dot, bilinear_form, bilinear_form_dense, flip_state_dense
 
 S2 = 1.0 / np.sqrt(2.0)
 BELL = make_state(2, [S2, 0, 0, S2])
@@ -57,9 +59,14 @@ def test_tangle_goldens():
 
 
 def test_tangle_vanishes_for_odd_n():
+    # the form is antisymmetric for odd n, so the tangle is exactly zero; the norm is still checked
     for seed in range(5):
-        assert tangle(random_state(3, seed)) == pytest.approx(0.0, abs=1e-14)
-        assert tangle(random_state(5, seed)) == pytest.approx(0.0, abs=1e-14)
+        assert tangle(random_state(3, seed)) == 0.0
+        assert tangle(random_state(5, seed)) == 0.0
+    with pytest.warns(UserWarning, match="norm"):
+        assert tangle(make_state(3, 3.0 * random_state(3, 5).amp)) == 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        tangle(make_state(3, np.zeros(8)))
 
 
 def test_tangle_range():
@@ -89,6 +96,60 @@ def test_scaled_bell_state_normalizes_and_keeps_its_tangle(scale):
         assert abs(tangle_result(scaled).value - 1.0) <= 2.3e-16
     with pytest.warns(UserWarning, match="norm"):
         assert is_maximally_entangled(scaled).passed
+
+
+@pytest.mark.parametrize("n", [2, 8, 14, 16])
+def test_tangle_checks_the_norm_in_its_own_read(n):
+    h = 1 << (n - 1)
+    psi = random_state(n, 30 + n)
+    for off in (0.5 * NORM_TOL, -0.5 * NORM_TOL):
+        # within NORM_TOL: no warning, and the value is the half-row signed dot, bit for bit
+        near = PureState(n, psi.amp * np.sqrt(1.0 + off))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = tangle(near)
+        assert np.float64(value).view(np.uint64) == np.float64(2.0 * abs(_signed_dot(near.amp, near.amp, h))).view(
+            np.uint64
+        )
+    for off in (2 * NORM_TOL, -2 * NORM_TOL):
+        off_norm = PureState(n, psi.amp * np.sqrt(1.0 + off))
+        with pytest.warns(UserWarning, match="norm"):
+            value = tangle(off_norm)
+        assert abs(value - tangle(normalize(off_norm))) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_tangle_rescales_an_out_of_range_norm_with_only_the_norm_warning(scale):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = tangle(make_state(2, [scale, 0, 0, scale]))
+    assert [(w.category, "norm" in str(w.message)) for w in caught] == [(UserWarning, True)]
+    assert abs(value - 1.0) <= 2.3e-16
+
+
+def _peak_bytes(call) -> int:
+    call()  # warm up, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tangle_norm_check_allocates_nothing_state_sized():
+    # the norm rides on the form's read: beyond the form's tile and buffer it allocates under 1 % of the
+    # state's bytes, so no block of the reversed view is copied for np.vdot
+    psi = random_state(18, 94)
+    assert _peak_bytes(lambda: tangle(psi)) - _peak_bytes(lambda: bilinear_form(psi, psi)) < psi.amp.nbytes / 100
+
+
+def test_maxent_checks_allocate_no_flip_of_the_state():
+    # the structural residual is summed in one tile-sized buffer, so the coefficient vector is the one
+    # state-sized array of is_maximally_entangled, and maxent_structure_check has none
+    psi = maxent_generate(18, 0.3, np.full(1 << 18, 2.0**-9))
+    assert _peak_bytes(lambda: is_maximally_entangled(psi)) <= 1.1 * psi.amp.nbytes
+    assert _peak_bytes(lambda: maxent_structure_check(psi)) < psi.amp.nbytes / 8
 
 
 def test_normalize_divides_by_the_norm_bit_for_bit():

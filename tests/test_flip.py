@@ -242,9 +242,14 @@ def _zero_bearing_state(n: int, seed: int) -> np.ndarray:
 def test_kernels_match_the_full_mask_formula(n):
     # the kernels sign tiles of the reversed input; the reference builds the whole 2^n mask
     x, y = _zero_bearing_state(n, 60 + n), _zero_bearing_state(n, 80 + n)
-    signed = x[::-1] * parity_signs(n)[::-1]
     flipped = flip_amplitudes(x)
-    np.testing.assert_array_equal(flipped.view(np.uint64), (np.conj(signed) * i_power(n)).view(np.uint64))
+    # bit for bit in the kernel's order: the conjugate times the phased sign; the sign-first order agrees in value,
+    # the two differing only in the sign of an exactly-zero part
+    phased = parity_signs(n)[::-1] * i_power(n)
+    np.testing.assert_array_equal(flipped.view(np.uint64), (np.conj(x[::-1]) * phased).view(np.uint64))
+    np.testing.assert_array_equal(flipped, np.conj(x[::-1] * parity_signs(n)[::-1]) * i_power(n))
+    if n <= 8:
+        np.testing.assert_array_equal(flipped, flip_state_dense(PureState(n, x)).amp)
     matrix = np.stack([x, y], axis=1)
     want = matrix[::-1] * parity_signs(n)[::-1, None]
     np.testing.assert_array_equal(signed_reversal(matrix).view(np.uint64), want.view(np.uint64))

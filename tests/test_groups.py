@@ -27,6 +27,7 @@ from spinforms.core import (
 from spinforms.files import read_basis, write_basis
 from spinforms.flip import FormKind, bilinear_form, flip_local, spin_flip_matrix
 from spinforms.groups import (
+    _det,
     classify_operator,
     homomorphism_check,
     is_form_preserving,
@@ -306,6 +307,22 @@ def test_homomorphism_check(n):
     assert report.passed
     assert report.form_residual <= 1e-8
     assert report.max_multiplicativity_residual <= 1e-8
+
+
+def test_det_of_a_representation_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        # det R = 1e800 is real: inf, with its exactly-zero imaginary part kept at 0.0 (inf * 0 would be NaN)
+        assert _det(represent_in_basis(GlobalOperator(2, 1e200 * np.eye(4)))) == complex(np.inf, 0.0)
+        assert _det(1e-200 * np.eye(4)) == 0.0
+        assert _det(np.diag([1.0, 0.0])) == 0.0
+    rng = np.random.default_rng(175)
+    for dim in (1, 2, 4, 8, 16):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert abs(_det(m) - np.linalg.det(m)) <= 1e-13 * abs(np.linalg.det(m))
+    for n in (1, 2, 3):
+        # a unit-determinant local operation represents with det R = det M = 1
+        assert abs(homomorphism_check(sl2_list(n, 180 + n), trials=1).det_r - 1.0) <= 1e-12
 
 
 def test_homomorphism_single_qubit_is_symplectic():
