@@ -11,7 +11,7 @@ unitary-symplectic mix of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
     _require_qubits,
     _value_eq,
 )
-from .flip import FormKind, _form_gram, _signed_blocks, flip_amplitudes, signed_reversal
+from .flip import _TILE_BITS, FormKind, _form_gram, _signed_blocks, signed_reversal
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
@@ -78,7 +78,7 @@ class BiorthoReport:
     form_residual: float
     form_target: str
     kind: FormKind
-    route: str  # "nonzero" or "dense": how the Grams were summed (see _gram_residuals)
+    route: str  # "pairs" or "dense": how the Grams were summed (see _gram_residuals)
 
 
 def canonical_j(dim: int) -> np.ndarray:
@@ -246,77 +246,36 @@ def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
     """(||V^H V - I||_F, ||form Gram - T||_F, route) for the 2^n x 2^n basis matrix V, with T = I (even n)
     or canonical J (odd n) and form(v_a, v_b) = (-i)^n (R v_a) . v_b, R the signed reversal.
 
-    Route "nonzero" when no row of V has more than two nonzero entries (the canonical bases, their row
-    permutations, phase changes and in-pair mixes): both Grams are summed from those entries only, in
-    one O(4^n) scan and O(2^n log 2^n) after it.  Route "dense" otherwise: two dense products.  Both routes
-    take their residuals through core._quadratic_residual, so an overflowing residual is inf, not NaN.
+    Route "pairs" when every nonzero entry of V lies in a complement-pair block B_m = V[(m, ~m), (2m, 2m+1)],
+    as in the canonical bases, their phase changes and their in-pair mixes.  R maps each row pair onto
+    itself, so both Grams are block diagonal and their residuals are summed over the 2^(n-1) blocks:
+    B_m^H B_m - I and (S_m B_m)^T B_m - i^n T_m, with S_m the rows swapped and signed as in R.  Route
+    "dense" otherwise: two dense products.  Both routes take their residuals through
+    core._quadratic_residual, so an overflowing residual is inf, not NaN.
     """
     dim = 1 << n
-    nonzero = v != 0
-    if np.count_nonzero(nonzero) <= 2 * dim:  # before the index array, which could be 4^n long
-        at = np.flatnonzero(nonzero)  # row-major, so the entries of one row are adjacent
-        rows = at >> n
-        if not (rows[2:] == rows[:-2]).any():  # no row holds three
-            return (*_nonzero_gram_residuals(n, rows, at & (dim - 1), v.ravel()[at]), "nonzero")
+    k = np.arange(dim // 2)
+    rows = np.stack([k, dim - 1 - k], axis=1)[:, :, None]  # (m, ~m)
+    blocks = v[rows, 2 * k[:, None, None] + np.arange(2)]  # blocks[m] = B_m
+    if np.count_nonzero(v.view(np.float64)) == np.count_nonzero(blocks.view(np.float64)):
+        signs = signed_reversal(np.ones(dim))[rows]  # row m of R x is signs[m] x[~m]
+        # form - T = (-i)^n (F - i^n T), with F = (R V)^T V: the literal targets I and J, scaled by i^n
+        form_target = i_power(n) * np.array([[0.0, 1.0], [-1.0, 0.0]] if n % 2 else [[1.0, 0.0], [0.0, 1.0]])
+
+        def residuals(y, unit):
+            hilbert = y.conj().swapaxes(1, 2) @ y
+            hilbert -= unit * np.array([[1.0, 0.0], [0.0, 1.0]])
+            form = (signs * y[:, ::-1]).swapaxes(1, 2) @ y
+            form -= unit * form_target
+            return np.linalg.norm(hilbert), np.linalg.norm(form)
+
+        return (*_quadratic_residual(residuals, blocks), "pairs")
     # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
     minus_target = _minus_j if n % 2 else _minus_identity
     form_residual = _quadratic_residual(
         lambda y, unit: np.linalg.norm(minus_target(times_i_power(_form_gram(y), -n), unit)), v
     )
     return unitarity_defect(v), form_residual, "dense"
-
-
-def _nonzero_gram_residuals(n: int, rows, cols, values) -> tuple[float, float]:
-    """Both Gram residuals of the matrix whose nonzero entries are values at (rows, cols), sorted by row,
-    at most two per row.
-
-    Row r goes into two slots (col[r], val[r]), zero-padded.  The Hilbert Gram is sum_r val[r]^H val[r]
-    and the form Gram F = (R V)^T V is sum_r (R val)[r]^T val[r], where (R val)[r] sits in the columns
-    of row ~r.  form - T = (-i)^n (F - i^n T) has the norm of F - i^n T, so the targets enter the sums
-    as terms -I and -i^n T, and the terms are summed by (Gram, column, column) key.  The keys, their order
-    and the sum boundaries depend on the columns only and are built once; the sums are taken through
-    core._quadratic_residual on the slot values, so a residual too large for a float is inf, not NaN.
-    """
-    dim = 1 << n
-    flat = 2 * rows  # slot 0 of each entry's row; the second entry of a row goes to slot 1
-    flat[1:] += rows[1:] == rows[:-1]
-    col, val = np.zeros((dim, 2), dtype=np.intp), np.zeros((dim, 2), dtype=np.complex128)
-    col.ravel()[flat], val.ravel()[flat] = cols, values
-    target_keys, targets, signs = _gram_targets(n)
-    # left factors, Gram by Gram: conj(val) for the Hilbert Gram, R val (rows ~r, signed) for the form
-    # Gram, whose columns are offset by dim so that its keys are offset by dim^2
-    left_col = np.concatenate([col, col[::-1] + dim]).reshape(2, dim, 2, 1)
-    keys = np.concatenate([(left_col * dim + col[:, None, :]).ravel(), target_keys])
-    order = np.argsort(keys)
-    keys = keys[order]
-    firsts = np.empty(keys.size, dtype=bool)
-    firsts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=firsts[1:])
-    firsts = np.flatnonzero(firsts)
-    split = 2 * np.searchsorted(keys[firsts], dim * dim)
-
-    def residuals(y, unit):
-        left = np.concatenate([y.conj(), y[::-1] * signs]).reshape(2, dim, 2, 1)
-        terms = np.concatenate([(left * y[:, None, :]).ravel(), targets * unit])
-        parts = np.add.reduceat(terms[order], firsts).view(np.float64)  # (real, imaginary) of each entry
-        return tuple(np.sqrt(x @ x) for x in (parts[:split], parts[split:]))
-
-    return _quadratic_residual(residuals, val)
-
-
-@lru_cache(maxsize=MAX_OPERATOR_QUBITS)  # one entry per n; the arrays are read-only
-def _gram_targets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, terms) of -I in the Hilbert Gram and -i^n T in the form Gram, keyed as in _nonzero_gram_residuals,
-    and the signs of R's rows as a column; read-only."""
-    dim = 1 << n
-    rows = np.arange(dim)
-    # T's entry in row a: 1 at (a, a) for I; for J, 1 at (a, a + 1) on even a and -1 at (a, a - 1) on odd a
-    t_cols = rows ^ (n % 2)
-    t_vals = np.where(rows % 2, 1.0, -1.0) if n % 2 else np.full(dim, -1.0)  # -T there
-    keys = np.concatenate([rows * (dim + 1), dim * dim + rows * dim + t_cols])
-    terms = np.concatenate([np.full(dim, -1.0 + 0j), times_i_power(t_vals.astype(np.complex128), n)])
-    signs = signed_reversal(np.ones(dim))[:, None]  # row k of R x is signs[k] * x[~k]
-    return _freeze(keys), _freeze(terms), _freeze(signs)
 
 
 def check_biorthonormal(basis: BasisSet) -> BiorthoReport:
@@ -388,22 +347,14 @@ def basis_from_orthogonal(o: np.ndarray) -> BasisSet:
 def decompose_basis(basis: BasisSet) -> np.ndarray:
     """Coefficient matrix of a bi-orthonormal basis over the magic basis.
 
-    Returns the real orthogonal matrix C with basis vector j = sum_l C[j, l] e_l.
-    Raises if the input is not bi-orthonormal, or if the recovered matrix is
-    not real orthogonal (which a valid input cannot produce).
+    Returns the real orthogonal matrix C with basis vector j = sum_l C[j, l] e_l: the real part of the
+    transform, whose imaginary part is within about GRAM_TOL of zero once both Gram residuals are, as
+    C^H C - C^T C = -2i (Im C)^T C.  Raises if the input is not bi-orthonormal.
     """
     if basis.n % 2 != 0:
         raise ValueError("magic-basis decomposition requires an even qubit count")
     _require_biorthonormal(basis)
-    coeff = canonical_coefficients(basis.n, basis.matrix()).T
-    imag_max = float(np.max(np.abs(coeff.imag)))
-    defect = form_defect(coeff.T, FormKind.ORTHOGONAL)  # C C^T - I
-    if imag_max > RESIDUAL_TOL or defect > RESIDUAL_TOL:
-        raise RuntimeError(
-            "bi-orthonormal basis decomposed to a non-real-orthogonal matrix "
-            f"(imag {imag_max:.3e}, orthogonality defect {defect:.3e}); this should be impossible"
-        )
-    return np.real(coeff)
+    return np.real(canonical_coefficients(basis.n, basis.matrix()).T)
 
 
 def random_real_orthogonal(dim: int, seed: int) -> np.ndarray:
@@ -455,5 +406,13 @@ def self_conjugacy_coefficient_check(psi: PureState) -> SelfConjugacyReport:
     """
     if psi.n % 2 != 0:
         raise ValueError("self-conjugate states require an even qubit count")
-    resid = float(np.max(np.abs(flip_amplitudes(psi.amp) - psi.amp)))
+    # max |flip(x) - x| block by block in one tile-sized buffer, with no flip of the whole state
+    resid = 0.0
+    buf = np.empty(min(psi.dim, 1 << _TILE_BITS), dtype=np.complex128)
+    for rows, block, tile in _signed_blocks(psi.amp, phase=i_power(psi.n)):
+        part = np.conjugate(block, out=buf[: len(block)])
+        part *= tile
+        part -= psi.amp[rows]
+        resid = np.maximum(resid, np.max(np.abs(part)))  # NaN-propagating, as np.max over the whole is
+    resid = float(resid)
     return SelfConjugacyReport(passed=resid <= RESIDUAL_TOL, max_residual=resid)

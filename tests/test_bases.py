@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -207,13 +208,13 @@ def test_basis_set_rejects_bad_shape_and_qubit_count():
 
 
 def test_overflowing_form_gram_is_infinite_not_nan():
-    # the Grams of the 1e200-scaled canonical bases overflow and inf - inf gives NaN, so the nonzero
-    # route's sums are taken again at 2^-e, and no numpy warning is raised
+    # the Grams of the 1e200-scaled canonical bases overflow and inf - inf gives NaN, so the pair
+    # route's block sums are taken again at 2^-e, and no numpy warning is raised
     for n in range(1, 7):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = check_biorthonormal(BasisSet(n, 1e200 * _canonical(n).matrix()))
-        assert (report.route, report.passed) == ("nonzero", False)
+        assert (report.route, report.passed) == ("pairs", False)
         assert report.hilbert_residual == np.inf and report.form_residual == np.inf
         # below the overflow, the residual is the exact ||c^2 G - I|| = (c^2 - 1) sqrt(2^n)
         report = check_biorthonormal(BasisSet(n, 2.0**300 * _canonical(n).matrix()))
@@ -244,15 +245,19 @@ def test_gram_threshold_at_its_boundary(n, residual, passed):
 
 
 def _dense_residuals(v, n):
-    """Both Gram residuals by the dense products, the reference for the nonzero route."""
+    """Both Gram residuals by the dense products, the reference for the pair route."""
     target = canonical_j(1 << n) if n % 2 else np.eye(1 << n)
     return unitarity_defect(v), float(np.linalg.norm(times_i_power(_form_gram(v), -n) - target))
 
 
-def _assert_nonzero_route_matches_dense(mat, n):
+def _assert_route_matches_dense(mat, n):
     basis = BasisSet(n, mat)
     report = check_biorthonormal(basis)
-    assert report.route == "nonzero"
+    # the pair route covers exactly the matrices whose nonzero entries (r, c) all sit on rows c // 2 and ~(c // 2)
+    dim = 1 << n
+    rows, cols = np.nonzero(basis.matrix())
+    in_pairs = all(r in (c // 2, dim - 1 - c // 2) for r, c in zip(rows.tolist(), cols.tolist()))
+    assert report.route == ("pairs" if in_pairs else "dense")
     want = _dense_residuals(basis.matrix(), n)
     for got, ref in zip((report.hilbert_residual, report.form_residual), want):
         assert abs(got - ref) <= 1e-14 * max(1.0, ref)
@@ -261,61 +266,92 @@ def _assert_nonzero_route_matches_dense(mat, n):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_nonzero_route_matches_the_dense_products_on_canonical_bases(n):
-    assert _assert_nonzero_route_matches_dense(_canonical(n).matrix(), n).passed
+def test_pair_route_matches_the_dense_products_on_canonical_bases(n):
+    report = _assert_route_matches_dense(_canonical(n).matrix(), n)
+    assert report.route == "pairs" and report.passed
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_nonzero_route_matches_the_dense_products_on_permuted_and_phased_rows(n):
-    # row permutations and unit phases keep two nonzeros per row; the verdict may go either way
+def test_gram_route_matches_the_dense_products_on_permuted_and_phased_rows(n):
+    # row phases keep each pair block in place; a row permutation that crosses pairs takes the dense route.
+    # The verdict may go either way
     rng = np.random.default_rng(700 + n)
     dim = 1 << n
     v = _canonical(n).matrix()
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(dim, 1)))
-    for mat in (v[rng.permutation(dim)], phases * v, phases * v[rng.permutation(dim)]):
-        _assert_nonzero_route_matches_dense(mat, n)
+    for mat in (v[rng.permutation(dim)], phases * v[rng.permutation(dim)]):
+        _assert_route_matches_dense(mat, n)
+    assert _assert_route_matches_dense(phases * v, n).route == "pairs"
     if n % 2 == 0:  # reversing the rows turns each magic vector into itself or its negative
-        assert _assert_nonzero_route_matches_dense(v[::-1], n).passed
-
-
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_nonzero_route_matches_the_dense_products_on_pair_rotations(n):
-    # a real rotation of each magic pair (columns 2k, 2k+1, both on rows k and ~k) is a real orthogonal mix
-    rng = np.random.default_rng(720 + n)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=1 << (n - 1))
-    rotation = np.zeros((1 << n, 1 << n))
-    for k, (c, s) in enumerate(zip(np.cos(angles), np.sin(angles))):
-        rotation[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
-    for mat in (_canonical(n).matrix() @ rotation, basis_from_orthogonal(rotation.T).matrix()):
-        assert _assert_nonzero_route_matches_dense(mat, n).passed
+        assert _assert_route_matches_dense(v[::-1], n).passed
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_nonzero_route_matches_the_dense_products_on_one_perturbed_entry(n):
+def test_pair_route_matches_the_dense_products_on_pair_rotations(n):
+    # a 2 x 2 mix of each canonical pair (columns 2k, 2k+1, both on rows k and ~k) keeps the pair blocks:
+    # a real rotation (even n) or an SU(2) matrix (odd n) is a bi-orthonormal mix, a random complex one is not
+    rng = np.random.default_rng(720 + n)
+    dim = 1 << n
+    rotation, other = np.zeros((2, dim, dim), dtype=np.complex128)
+    for k in range(dim // 2):
+        pair = slice(2 * k, 2 * k + 2)
+        if n % 2:
+            rotation[pair, pair] = random_su2(int(rng.integers(1 << 30)))
+        else:
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            rotation[pair, pair] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        other[pair, pair] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    v = _canonical(n).matrix()
+    mixed = basis_from_unitary_symplectic(rotation.T) if n % 2 else basis_from_orthogonal(rotation.T.real)
+    for mat in (v @ rotation, mixed.matrix()):
+        report = _assert_route_matches_dense(mat, n)
+        assert report.route == "pairs" and report.passed
+    report = _assert_route_matches_dense(v @ other, n)
+    assert report.route == "pairs" and not report.passed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_route_matches_the_dense_products_on_one_perturbed_entry(n):
     v = _canonical(n).matrix().copy()
     row, col = 3 % (1 << n), np.flatnonzero(v[3 % (1 << n)])[0]
     for delta in (1e-12, 1e-6, 0.5):
         mat = v.copy()
         mat[row, col] += delta
-        report = _assert_nonzero_route_matches_dense(mat, n)
-        assert report.passed == (delta < 1e-10)
+        report = _assert_route_matches_dense(mat, n)
+        assert report.route == "pairs" and report.passed == (delta < 1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_nonzero_route_on_empty_and_sparse_rows(n):
+def test_gram_route_on_empty_and_sparse_rows(n):
+    # the identity has entry (1, 1) off the pair blocks from n = 2 on, so it takes the dense route there
     dim = 1 << n
     for mat in (np.zeros((dim, dim)), np.eye(dim), np.fliplr(np.eye(dim)), np.diag(np.arange(dim) + 1j)):
-        assert not _assert_nonzero_route_matches_dense(mat, n).passed
+        assert not _assert_route_matches_dense(mat, n).passed
+    assert check_biorthonormal(BasisSet(n, np.eye(dim))).route == ("pairs" if n == 1 else "dense")
 
 
 @pytest.mark.parametrize("make, n", [(magic_basis, 12), (product_biortho_basis, 11)])
-def test_check_biorthonormal_at_the_caps_takes_the_nonzero_route(make, n):
+def test_check_biorthonormal_at_the_caps_takes_the_pair_route(make, n):
     report = check_biorthonormal(make(n))
-    assert (report.passed, report.route) == (True, "nonzero")
+    assert (report.passed, report.route) == (True, "pairs")
     assert max(report.hilbert_residual, report.form_residual) <= 1e-12
 
 
-def test_a_row_with_three_nonzeros_takes_the_dense_route():
+def test_pair_route_allocates_nothing_matrix_sized():
+    # the route is chosen by counting nonzero parts, with no 4^n mask, and the Grams are summed over
+    # the 2^(n-1) pair blocks
+    basis = magic_basis(12)
+    check_biorthonormal(basis)  # warm up, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        check_biorthonormal(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.matrix().nbytes / 100
+
+
+def test_an_entry_off_the_pair_blocks_takes_the_dense_route():
     for n in (2, 3, 6):
         v = _canonical(n).matrix().copy()
         v[0, np.flatnonzero(v[0] == 0)[: 3 - np.count_nonzero(v[0])]] = 1e-300  # however small, it counts
@@ -323,7 +359,7 @@ def test_a_row_with_three_nonzeros_takes_the_dense_route():
         assert report.route == "dense" and report.passed
         assert (report.hilbert_residual, report.form_residual) == _dense_residuals(v, n)
     assert check_biorthonormal(basis_from_orthogonal(random_real_orthogonal(16, 3))).route == "dense"
-    assert check_biorthonormal(BasisSet(1, np.ones((2, 2)))).route == "nonzero"  # every row of a 2 x 2 matrix
+    assert check_biorthonormal(BasisSet(1, np.ones((2, 2)))).route == "pairs"  # a 2 x 2 matrix is one block
     assert check_biorthonormal(BasisSet(2, np.ones((4, 4)))).route == "dense"
 
 
@@ -366,6 +402,22 @@ def test_basis_from_orthogonal_rejects_bad_input():
 
 def test_decompose_magic_is_identity():
     np.testing.assert_allclose(decompose_basis(magic_basis(2)), np.eye(4), atol=1e-14)
+
+
+def test_decomposition_of_a_passing_basis_is_real_orthogonal():
+    # decompose_basis takes the real part of C = (V^H B)^T with no check of its own: once both Gram
+    # residuals are within GRAM_TOL, C^H C - C^T C = -2i (Im C)^T C bounds Im C by about GRAM_TOL
+    bases = [magic_basis(n) for n in (2, 4, 6, 8)]
+    bases += [basis_from_orthogonal(random_real_orthogonal(1 << n, 50 + i)) for n in (2, 4) for i in range(10)]
+    near = basis_from_orthogonal(random_real_orthogonal(4, 7)).matrix().copy()
+    near[:, 2] *= np.exp(0.49e-10j)  # a form residual 2 sin(0.49e-10), just within GRAM_TOL
+    bases.append(BasisSet(2, near))
+    for basis in bases:
+        assert check_biorthonormal(basis).passed
+        c = canonical_coefficients(basis.n, basis.matrix()).T
+        assert np.max(np.abs(c.imag)) <= 2 * GRAM_TOL
+        assert np.max(np.abs(c.T @ c - np.eye(basis.dim))) <= 1e-9
+        np.testing.assert_array_equal(decompose_basis(basis), c.real)
 
 
 def test_decompose_rejects_phase_perturbation():

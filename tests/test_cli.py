@@ -155,12 +155,12 @@ def test_basis_magic_emit_and_check(tmp_path, capsys):
     assert code == 0
     assert report["verdicts"]["biorthonormal"] is True
     assert report["values"]["vectors"] == 4
-    assert report["values"]["gram_route"] == "nonzero"
+    assert report["values"]["gram_route"] == "pairs"
     assert read_basis(out).matrix().shape == (4, 4)
     code, report = run(capsys, "basis", "check", out)
     assert code == 0
     assert report["verdicts"]["biorthonormal"] is True
-    assert report["values"]["gram_route"] == "nonzero"  # the file's matrix has two nonzeros per row
+    assert report["values"]["gram_route"] == "pairs"  # the file's matrix keeps every nonzero in its pair block
 
 
 def test_basis_magic_odd_n_exits_2(tmp_path):
@@ -169,7 +169,7 @@ def test_basis_magic_odd_n_exits_2(tmp_path):
 
 def test_basis_product_and_random(tmp_path, capsys):
     for route, args in (
-        ("nonzero", ("basis", "product", "-n", 3, "--out", tmp_path / "p.json")),
+        ("pairs", ("basis", "product", "-n", 3, "--out", tmp_path / "p.json")),
         ("dense", ("basis", "random-biortho", "-n", 2, "--seed", 5, "--out", tmp_path / "r2.json")),
         ("dense", ("basis", "random-biortho", "-n", 3, "--seed", 5, "--out", tmp_path / "r3.json")),
     ):
@@ -192,7 +192,7 @@ def test_basis_check_fails_on_computational_basis(tmp_path, capsys):
     code, report = run(capsys, "basis", "check", bad)
     assert code == 1
     assert report["verdicts"]["biorthonormal"] is False
-    assert report["values"]["gram_route"] == "nonzero"  # one nonzero per row
+    assert report["values"]["gram_route"] == "dense"  # entry (1, 1) lies off the pair blocks
 
 
 def test_op_random_local_and_classify(tmp_path, capsys):
@@ -522,7 +522,7 @@ def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, comma
     assert "Infinity" in flat or "NaN" in flat
     if command == "form":
         assert report["values"]["value"] == ["-Infinity", 0.0]  # the exact form -1e400 + 0j
-    if command == "basis check":  # the nonzero route's sums are taken again at 2^-e, so they are inf, not NaN
+    if command == "basis check":  # the pair route's block sums are taken again at 2^-e, so they are inf, not NaN
         assert report["residuals"] == {"hilbert_gram": "Infinity", "form_gram": "Infinity"}
     if command == "op classify":  # both dense residuals are taken again at 2^-e, so they are inf, not NaN
         assert report["residuals"] == {"form_preservation": "Infinity", "unitarity": "Infinity"}

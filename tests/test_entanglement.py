@@ -12,6 +12,7 @@ from spinforms.bases import (
     canonical_synthesize,
     magic_basis,
     random_real_orthogonal,
+    self_conjugacy_coefficient_check,
     state_coefficients,
 )
 from spinforms.core import (
@@ -38,7 +39,7 @@ from spinforms.entanglement import (
     tangle_from_coefficients,
     tangle_result,
 )
-from spinforms.flip import _signed_dot, bilinear_form, bilinear_form_dense, flip_state_dense
+from spinforms.flip import _signed_dot, bilinear_form, bilinear_form_dense, flip_amplitudes, flip_state_dense
 
 S2 = 1.0 / np.sqrt(2.0)
 BELL = make_state(2, [S2, 0, 0, S2])
@@ -150,6 +151,14 @@ def test_maxent_checks_allocate_no_flip_of_the_state():
     psi = maxent_generate(18, 0.3, np.full(1 << 18, 2.0**-9))
     assert _peak_bytes(lambda: is_maximally_entangled(psi)) <= 1.1 * psi.amp.nbytes
     assert _peak_bytes(lambda: maxent_structure_check(psi)) < psi.amp.nbytes / 8
+
+
+def test_self_conjugacy_check_allocates_no_flip_of_the_state():
+    # max |flip(x) - x| is taken block by block in one tile-sized buffer, and equals the whole-state max
+    for psi in (maxent_generate(18, 0.3, np.full(1 << 18, 2.0**-9)), random_state(18, 95)):
+        assert _peak_bytes(lambda: self_conjugacy_coefficient_check(psi)) < psi.amp.nbytes / 8
+        want = float(np.max(np.abs(flip_amplitudes(psi.amp) - psi.amp)))
+        assert self_conjugacy_coefficient_check(psi).max_residual == want
 
 
 def test_normalize_divides_by_the_norm_bit_for_bit():

@@ -147,13 +147,13 @@ def test_finite_dense_residuals_take_no_second_pass(tmp_path, monkeypatch):
         assert np.isfinite(report.unitary_residual) and np.isfinite(report.form_residual)
     report = check_biorthonormal(basis_from_orthogonal(random_real_orthogonal(16, 3)))
     assert report.route == "dense" and report.passed
-    # the nonzero route, on the canonical bases and on their file copies, which are not marked canonical
+    # the pair route, on the canonical bases and on their file copies, which are not marked canonical
     for n, basis in ((8, magic_basis(8)), (7, product_biortho_basis(7))):
         path = tmp_path / f"basis{n}.json"
         write_basis(path, basis)
         for b in (basis, read_basis(path)):
             report = check_biorthonormal(b)
-            assert report.route == "nonzero" and report.passed
+            assert report.route == "pairs" and report.passed
     for n in (2, 3):
         kind = FormKind.for_qubits(n)
         assert form_defect(represent_in_basis(random_operator(n, 8)), kind) > 1.0

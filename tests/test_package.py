@@ -23,6 +23,8 @@ def test_removed_duplicates_stay_gone():
         (spinforms.bases, "_magic_phases"),  # the reversal sign comes from flip.signed_reversal's tile
         (spinforms.bases, "_UNSCALED_EXP"),  # every Gram residual scales through core._quadratic_residual
         (spinforms.bases, "_scaled"),
+        (spinforms.bases, "_nonzero_gram_residuals"),  # the Grams of a sparse basis are summed over its pair blocks
+        (spinforms.bases, "_gram_targets"),
         (spinforms.core, "Tolerances"),  # each verdict reads core.NORM_TOL, GRAM_TOL or RESIDUAL_TOL
         (spinforms.core, "DEFAULT_TOL"),
         (spinforms, "Tolerances"),
