@@ -265,14 +265,16 @@ def _assert_route_matches_dense(mat, n):
     return report
 
 
+# "nonzero route" in the test names below means inputs with few nonzero entries: they take the pair
+# route, or the dense one where an entry lies off the pair blocks
 @pytest.mark.parametrize("n", range(1, 11))
-def test_pair_route_matches_the_dense_products_on_canonical_bases(n):
+def test_nonzero_route_matches_the_dense_products_on_canonical_bases(n):
     report = _assert_route_matches_dense(_canonical(n).matrix(), n)
     assert report.route == "pairs" and report.passed
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_gram_route_matches_the_dense_products_on_permuted_and_phased_rows(n):
+def test_nonzero_route_matches_the_dense_products_on_permuted_and_phased_rows(n):
     # row phases keep each pair block in place; a row permutation that crosses pairs takes the dense route.
     # The verdict may go either way
     rng = np.random.default_rng(700 + n)
@@ -287,7 +289,7 @@ def test_gram_route_matches_the_dense_products_on_permuted_and_phased_rows(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_pair_route_matches_the_dense_products_on_pair_rotations(n):
+def test_nonzero_route_matches_the_dense_products_on_pair_rotations(n):
     # a 2 x 2 mix of each canonical pair (columns 2k, 2k+1, both on rows k and ~k) keeps the pair blocks:
     # a real rotation (even n) or an SU(2) matrix (odd n) is a bi-orthonormal mix, a random complex one is not
     rng = np.random.default_rng(720 + n)
@@ -311,7 +313,7 @@ def test_pair_route_matches_the_dense_products_on_pair_rotations(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_pair_route_matches_the_dense_products_on_one_perturbed_entry(n):
+def test_nonzero_route_matches_the_dense_products_on_one_perturbed_entry(n):
     v = _canonical(n).matrix().copy()
     row, col = 3 % (1 << n), np.flatnonzero(v[3 % (1 << n)])[0]
     for delta in (1e-12, 1e-6, 0.5):
@@ -322,7 +324,7 @@ def test_pair_route_matches_the_dense_products_on_one_perturbed_entry(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_gram_route_on_empty_and_sparse_rows(n):
+def test_nonzero_route_on_empty_and_sparse_rows(n):
     # the identity has entry (1, 1) off the pair blocks from n = 2 on, so it takes the dense route there
     dim = 1 << n
     for mat in (np.zeros((dim, dim)), np.eye(dim), np.fliplr(np.eye(dim)), np.diag(np.arange(dim) + 1j)):
@@ -331,7 +333,7 @@ def test_gram_route_on_empty_and_sparse_rows(n):
 
 
 @pytest.mark.parametrize("make, n", [(magic_basis, 12), (product_biortho_basis, 11)])
-def test_check_biorthonormal_at_the_caps_takes_the_pair_route(make, n):
+def test_check_biorthonormal_at_the_caps_takes_the_nonzero_route(make, n):
     report = check_biorthonormal(make(n))
     assert (report.passed, report.route) == (True, "pairs")
     assert max(report.hilbert_residual, report.form_residual) <= 1e-12
@@ -351,7 +353,7 @@ def test_pair_route_allocates_nothing_matrix_sized():
     assert peak < basis.matrix().nbytes / 100
 
 
-def test_an_entry_off_the_pair_blocks_takes_the_dense_route():
+def test_a_row_with_three_nonzeros_takes_the_dense_route():
     for n in (2, 3, 6):
         v = _canonical(n).matrix().copy()
         v[0, np.flatnonzero(v[0] == 0)[: 3 - np.count_nonzero(v[0])]] = 1e-300  # however small, it counts
