@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bits import i_power, parity_signs, times_i_power
+from .bits import i_power, parity_signs
 from .core import (
     GRAM_TOL,
     MAX_OPERATOR_QUBITS,
@@ -27,7 +27,7 @@ from .core import (
     _require_qubits,
     _value_eq,
 )
-from .flip import _TILE_BITS, FormKind, _form_gram, _signed_blocks, signed_reversal
+from .flip import FormKind, _flip_defects, _form_gram, _signed_blocks, signed_reversal
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
@@ -91,18 +91,17 @@ def canonical_j(dim: int) -> np.ndarray:
     return j
 
 
-def _minus_identity(gram: np.ndarray, unit: float = 1.0) -> np.ndarray:
-    """gram - unit * I, in place on a square array the caller owns."""
-    diag = np.arange(gram.shape[0])
-    gram[diag, diag] -= unit
+def _minus_identity(gram: np.ndarray, unit: complex | np.ndarray = 1.0) -> np.ndarray:
+    """gram - unit * I on the last two axes, in place through their writable diagonal view, at any strides."""
+    diagonal = np.einsum("...ii->...i", gram)
+    diagonal -= unit
     return gram
 
 
-def _minus_j(gram: np.ndarray, unit: float) -> np.ndarray:
-    """gram - unit * canonical_j, in place on a square array of even size the caller owns."""
-    even = np.arange(0, gram.shape[0], 2)
-    gram[even, even + 1] -= unit
-    gram[even + 1, even] += unit
+def _minus_j(gram: np.ndarray, unit: complex) -> np.ndarray:
+    """gram - unit * canonical_j on the last two axes, in place on the diagonals of the even-odd and odd-even views."""
+    _minus_identity(gram[..., 0::2, 1::2], unit)
+    _minus_identity(gram[..., 1::2, 0::2], -unit)
     return gram
 
 
@@ -254,27 +253,22 @@ def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
     core._quadratic_residual, so an overflowing residual is inf, not NaN.
     """
     dim = 1 << n
+    # form - T = (-i)^n (F - i^n T) with F = (R V)^T V, so F is judged against i^n T
+    minus_target, phase = _minus_j if n % 2 else _minus_identity, i_power(n)
     k = np.arange(dim // 2)
     rows = np.stack([k, dim - 1 - k], axis=1)[:, :, None]  # (m, ~m)
     blocks = v[rows, 2 * k[:, None, None] + np.arange(2)]  # blocks[m] = B_m
     if np.count_nonzero(v.view(np.float64)) == np.count_nonzero(blocks.view(np.float64)):
         signs = signed_reversal(np.ones(dim))[rows]  # row m of R x is signs[m] x[~m]
-        # form - T = (-i)^n (F - i^n T), with F = (R V)^T V: the literal targets I and J, scaled by i^n
-        form_target = i_power(n) * np.array([[0.0, 1.0], [-1.0, 0.0]] if n % 2 else [[1.0, 0.0], [0.0, 1.0]])
 
         def residuals(y, unit):
-            hilbert = y.conj().swapaxes(1, 2) @ y
-            hilbert -= unit * np.array([[1.0, 0.0], [0.0, 1.0]])
-            form = (signs * y[:, ::-1]).swapaxes(1, 2) @ y
-            form -= unit * form_target
+            hilbert = _minus_identity(y.conj().swapaxes(1, 2) @ y, unit)
+            form = minus_target((signs * y[:, ::-1]).swapaxes(1, 2) @ y, unit * phase)
             return np.linalg.norm(hilbert), np.linalg.norm(form)
 
         return (*_quadratic_residual(residuals, blocks), "pairs")
     # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    minus_target = _minus_j if n % 2 else _minus_identity
-    form_residual = _quadratic_residual(
-        lambda y, unit: np.linalg.norm(minus_target(times_i_power(_form_gram(y), -n), unit)), v
-    )
+    form_residual = _quadratic_residual(lambda y, unit: np.linalg.norm(minus_target(_form_gram(y), unit * phase)), v)
     return unitarity_defect(v), form_residual, "dense"
 
 
@@ -406,13 +400,6 @@ def self_conjugacy_coefficient_check(psi: PureState) -> SelfConjugacyReport:
     """
     if psi.n % 2 != 0:
         raise ValueError("self-conjugate states require an even qubit count")
-    # max |flip(x) - x| block by block in one tile-sized buffer, with no flip of the whole state
-    resid = 0.0
-    buf = np.empty(min(psi.dim, 1 << _TILE_BITS), dtype=np.complex128)
-    for rows, block, tile in _signed_blocks(psi.amp, phase=i_power(psi.n)):
-        part = np.conjugate(block, out=buf[: len(block)])
-        part *= tile
-        part -= psi.amp[rows]
-        resid = np.maximum(resid, np.max(np.abs(part)))  # NaN-propagating, as np.max over the whole is
-    resid = float(resid)
+    # max |flip(x) - x| over the blocks, with no flip of the whole state; NaN-propagating, as np.max over the whole is
+    resid = float(reduce(np.maximum, (np.max(np.abs(defect)) for _, defect in _flip_defects(psi.amp)), 0.0))
     return SelfConjugacyReport(passed=resid <= RESIDUAL_TOL, max_residual=resid)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
-from .bits import i_power
 from .core import MAX_STATE_QUBITS, NORM_TOL, RESIDUAL_TOL, PureState, _freeze, _require_qubits, normalize
-from .flip import _TILE_BITS, _signed_blocks, _signed_terms, bilinear_form
+from .flip import _flip_defects, _signed_terms, bilinear_form
 
 
 def _as_normalized(psi: PureState) -> PureState:
@@ -148,18 +147,13 @@ class StructureReport:
 def _structure_report(x: np.ndarray, theta: float | None) -> StructureReport:
     """Structural residuals of normalized amplitudes x at the phase theta (None: no witness, residuals at zero phase).
 
-    The relation residual ||e^{2i theta} flip(x) - x|| is summed block by block in one tile-sized
-    buffer, with no flip of the whole state; the half-sum over rows k < 2^(n-1) rides on the same read.
+    The relation residual ||e^{2i theta} flip(x) - x|| is summed over the blocks of flip._flip_defects,
+    with no flip of the whole state; the half-sum over rows k < 2^(n-1) rides on the same read.
     """
     h = x.shape[0] // 2
-    phase = np.exp(2j * (theta or 0.0)) * i_power(h.bit_length())  # e^{2i theta} i^n, n = log2(2h)
-    buf = np.empty(min(x.shape[0], 1 << _TILE_BITS), dtype=np.complex128)
     relation_sq = lower_sq = 0.0
-    for rows, block, tile in _signed_blocks(x, phase=phase):
-        part = np.conjugate(block, out=buf[: len(block)])
-        part *= tile
-        part -= x[rows]
-        relation_sq += np.vdot(part, part).real
+    for rows, defect in _flip_defects(x, np.exp(2j * (theta or 0.0))):
+        relation_sq += np.vdot(defect, defect).real
         lower = x[rows.start : min(rows.stop, h)]  # |e^{-i theta} x_k| = |x_k|
         lower_sq += np.vdot(lower, lower).real
     relation_residual, half_sum_gap = float(np.sqrt(relation_sq)), float(abs(lower_sq - 0.5))

@@ -115,6 +115,16 @@ def flip_amplitudes(x) -> np.ndarray:
     return out
 
 
+def _flip_defects(x: np.ndarray, phase: complex = 1.0):
+    """Yield (rows, phase * flip(x)[rows] - x[rows]) block by block, each written into one tile-sized buffer."""
+    buf = np.empty(min(x.shape[0], 1 << _TILE_BITS), dtype=np.complex128)
+    for rows, block, tile in _signed_blocks(x, phase=phase * i_power(x.shape[0].bit_length() - 1)):
+        defect = np.conjugate(block, out=buf[: len(block)])
+        defect *= tile
+        defect -= x[rows]
+        yield rows, defect
+
+
 def _signed_terms(x: np.ndarray, y: np.ndarray, stop: int):
     """Yield (rows, sums) with sums the (real, imaginary) sum of (-1)^popcount(~k) x[~k] y[k] over the block's rows k.
 

@@ -28,6 +28,7 @@ from .core import (
     LocalOperatorList,
     _kron,
     _quadratic_residual,
+    _scaled,
     expand_local,
     random_sl2,
 )
@@ -46,17 +47,30 @@ def is_form_preserving(op: GlobalOperator) -> FormPreservation:
     With R the signed reversal, flip(M)^dag M = R G for the form Gram G = (R M)^T M of M's
     columns, and R is a signed permutation, so the residual is ||G - R^T||_F.  G is symmetric
     (even n) or antisymmetric (odd n) and is computed as one half-size product; R^T is r[k] at
-    (~k, k) with r = R 1, subtracted in place.  A residual that overflows is inf, not NaN.
+    (~k, k) with r = R 1, the diagonal of the row-reversed view G[::-1], subtracted there in place.
+    A residual that overflows is inf, not NaN.
     """
-    rows = np.arange(op.dim)
 
     def gram_defect(m, unit):
         gram = _form_gram(m)
-        gram[rows[::-1], rows] -= signed_reversal(np.full(op.dim, unit))
+        _minus_identity(gram[::-1], signed_reversal(np.full(op.dim, unit)))
         return np.linalg.norm(gram)
 
     residual = _quadratic_residual(gram_defect, op.mat)
     return FormPreservation(passed=residual <= RESIDUAL_TOL, residual=residual)
+
+
+def _det(m: np.ndarray) -> complex | np.ndarray:
+    """det over the last two axes of m from np.linalg.slogdet, so past the float range it reads inf or 0.0 with
+    no warning.  Each part of the phase is multiplied by the magnitude on its own: an exactly-zero part stays
+    0.0 where the complex product would give inf * 0 = NaN."""
+    phase, log_magnitude = np.linalg.slogdet(m)
+    with np.errstate(over="ignore"):
+        magnitude = np.exp(log_magnitude)
+    det = np.zeros(np.shape(phase), dtype=np.complex128)
+    for part, out in ((phase.real, det.real), (phase.imag, det.imag)):
+        np.multiply(part, magnitude, out=out, where=part != 0)
+    return det[()]
 
 
 @dataclass(frozen=True)
@@ -73,7 +87,7 @@ def local_form_criterion(local: LocalOperatorList) -> LocalFormReport:
     per-qubit form test.  This judges each factor, not the product: (2I, I/2) fails here
     although its product, the identity, is form-preserving.
     """
-    dets = np.linalg.det(np.stack(local.ops))
+    dets = _det(np.stack(local.ops))
     gap = float(np.max(np.abs(dets - 1.0)))
     return LocalFormReport(dets=tuple(complex(d) for d in dets), max_det_gap=gap, passed=gap <= RESIDUAL_TOL)
 
@@ -106,18 +120,6 @@ class HomomorphismReport:
     max_multiplicativity_residual: float
     det_r: complex
     passed: bool
-
-
-def _det(m: np.ndarray) -> complex:
-    """det(m) from np.linalg.slogdet, so a determinant past the float range reads inf, with no warning.
-
-    Each part of the phase is multiplied by the magnitude on its own: an exactly-zero part stays 0.0
-    where the complex product would give inf * 0 = NaN.
-    """
-    phase, log_magnitude = np.linalg.slogdet(m)
-    with np.errstate(over="ignore"):
-        magnitude = np.exp(log_magnitude)
-    return complex(*(part * magnitude if part else 0.0 for part in (phase.real, phase.imag)))
 
 
 def homomorphism_check(local: LocalOperatorList, trials: int = 10, seed: int = 0) -> HomomorphismReport:
@@ -197,15 +199,22 @@ def classify_operator(op: GlobalOperator | LocalOperatorList) -> OperatorClassRe
     bi-orthonormal basis (V and sigma_y^(x)n are unitary, so the Frobenius norms
     agree), so no representation is built; ``op represent`` and homomorphism_check
     report that defect.  A local list's unitarity comes from its factors,
-    M^dag M = (x) A_i^dag A_i, in O(4^n); its form test runs on the expanded matrix.
-    Per-factor determinants (from local_form_criterion) are reported for local inputs only.
+    M^dag M = (x) A_i^dag A_i, in O(4^n), and reads inf or a finite value, never NaN; its
+    form test runs on the expanded matrix.  Per-factor determinants (local_form_criterion's)
+    are reported for local inputs only.
     """
     dets = None
     if isinstance(op, LocalOperatorList):
         dets = local_form_criterion(op).dets
-        factors = op.ops
-        op = expand_local(op)  # checks the operator cap before any 2^n x 2^n array
-        unitary_residual = float(np.linalg.norm(_minus_identity(_kron(a.conj().T @ a for a in factors))))
+        op, factors = expand_local(op), op.ops  # expand_local checks the operator cap before any 2^n x 2^n array
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed factor Gram times an underflowed one is NaN
+            unitary_residual = float(np.linalg.norm(_minus_identity(_kron(a.conj().T @ a for a in factors))))
+            if not np.isfinite(unitary_residual):  # again on the factors at 2^-e_i (core._scaled)
+                scaled = [_scaled(a) for a in factors]
+                gram = _kron(s.conj().T @ s for s, _ in scaled).view(np.float64)
+                np.ldexp(gram, 2 * sum(e for _, e in scaled), out=gram)  # scaled back: each entry saturates to inf or 0
+                unitary_residual = float(np.linalg.norm(_minus_identity(gram.view(np.complex128))))
+                del gram  # freed before the form test
     else:
         unitary_residual = unitarity_defect(op.mat)
     preservation = is_form_preserving(op)

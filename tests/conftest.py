@@ -27,7 +27,7 @@ def unmarked_copies(tmp_path):
 def refuse_gram(monkeypatch):
     """A call that makes every later bi-orthonormality Gram check raise AssertionError("Gram check").
 
-    It replaces _gram_residuals, which both routes of check_biorthonormal (nonzero and dense) go through.
+    It replaces _gram_residuals, which both routes of check_biorthonormal (pairs and dense) go through.
     """
 
     def gram_check(v, n):

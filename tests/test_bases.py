@@ -10,6 +10,8 @@ import pytest
 import spinforms.bases
 from spinforms.bases import (
     BasisSet,
+    _minus_identity,
+    _minus_j,
     basis_from_orthogonal,
     basis_from_unitary_symplectic,
     canonical_coefficients,
@@ -504,6 +506,25 @@ def test_defects_build_no_dense_target(monkeypatch):
     assert unitarity_defect(x) <= 1e-12
     assert form_defect(x, FormKind.SYMPLECTIC) <= 1e-12
     assert form_defect(o, FormKind.ORTHOGONAL) <= 1e-12
+
+
+@pytest.mark.parametrize("minus, target", [(_minus_identity, np.eye(4)), (_minus_j, canonical_j(4))])
+def test_target_subtraction_edits_views_in_place(minus, target):
+    # the diagonal views write through any strides: a transposed array and a stack of blocks are edited where they lie
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    want = base.T - (2.0 - 1.0j) * target
+    view = base.T  # not C-contiguous: an index or reshape copy would leave base as it is
+    assert minus(view, 2.0 - 1.0j) is view
+    np.testing.assert_array_equal(base.T, want)
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    want = stack - 0.5j * target
+    assert minus(stack, 0.5j) is stack
+    np.testing.assert_array_equal(stack, want)
+    blocks = rng.normal(size=(5, 2, 2)) + 0j  # the pair route's 2 x 2 blocks
+    want = blocks - 3.0 * target[:2, :2]
+    minus(blocks, 3.0)
+    np.testing.assert_array_equal(blocks, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

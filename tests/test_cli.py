@@ -501,13 +501,16 @@ def _refuse_constant(name):
 
 @pytest.mark.parametrize(
     "command, code",
-    [("form", 0), ("op classify", 1), ("op represent", 1), ("basis check", 1)],
+    [("form", 0), ("op classify", 1), ("op represent", 1), ("basis check", 1), ("op classify local", 0)],
 )
 def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, command, code):
     path = tmp_path / "in.json"
     if command == "form":
         write_state(path, make_state(2, [1e200 * S2, 0, 0, 1e200 * S2]))
         argv = ["form", path, path]
+    elif command == "op classify local":  # the identity as (1e200 I, 1e-200 I): one factor Gram overflows
+        write_operator(path, LocalOperatorList((1e200 * np.eye(2), 1e-200 * np.eye(2))))
+        argv = ["op", "classify", path]
     elif command == "basis check":
         write_basis(path, BasisSet(2, 1e200 * magic_basis(2).matrix()))
         argv = ["basis", "check", path]
@@ -526,6 +529,11 @@ def test_overflowing_residuals_give_a_strict_json_report(tmp_path, capsys, comma
         assert report["residuals"] == {"hilbert_gram": "Infinity", "form_gram": "Infinity"}
     if command == "op classify":  # both dense residuals are taken again at 2^-e, so they are inf, not NaN
         assert report["residuals"] == {"form_preservation": "Infinity", "unitarity": "Infinity"}
+    if command == "op classify local":  # the factor Grams' product is taken again at 2^-e_i per factor: finite
+        assert 0.0 <= report["residuals"]["unitarity"] <= 1e-15
+        assert report["values"]["is_unitary"] and report["verdicts"] == {"form_preserving": True}
+        assert report["values"]["dets"] == [["Infinity", 0.0], [0.0, 0.0]]  # det 1e400 overflows, 1e-400 underflows
+        assert report["values"]["warnings"] == []
     if command == "op represent":  # form_defect is taken again at 2^-e, and its products warn of nothing
         assert report["residuals"] == {"form_defect": "Infinity"}
         assert not any("matmul" in w for w in report["values"]["warnings"])

@@ -19,6 +19,7 @@ from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
     PureState,
+    _kron,
     expand_local,
     random_operator,
     random_sl2,
@@ -96,6 +97,51 @@ def test_local_unitarity_from_the_factors_matches_the_expanded_matrix(n):
         dense = unitarity_defect(expand_local(local).mat)
         assert abs(residual - dense) <= 1e-12 * max(1.0, dense)
     assert classify_operator(lists[1]).is_unitary  # SU(2) factors
+
+
+@pytest.mark.parametrize(
+    "scales, residual, unitary",
+    [
+        ((1e200, 1e-200), 2.220446049250313e-16, True),  # the identity, with one Gram overflowed and one underflowed
+        ((1e200, 1.0), np.inf, False),
+        ((1e200, 1e-300, 1e-300), np.sqrt(8.0), False),  # the product underflows to 0: ||0 - I|| on 8 x 8
+        ((1e-200, 1e-200), 2.0, False),  # finite in the first pass, as at the parent
+    ],
+)
+def test_local_unitarity_is_never_nan(scales, residual, unitary):
+    # inf * 0 in the Kronecker product of the factor Grams is taken again on factors scaled by their own 2^-e_i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        report = classify_operator(LocalOperatorList(tuple(c * np.eye(2) for c in scales)))
+    assert report.unitary_residual == residual
+    assert report.is_unitary is unitary
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_finite_local_unitarity_is_the_plain_kronecker_formula(n):
+    for draw in (random_sl2, random_su2):
+        local = local_list(draw, n, 400 + n)
+        plain = float(np.linalg.norm(_kron(a.conj().T @ a for a in local.ops) - np.eye(1 << n)))
+        assert classify_operator(local).unitary_residual == plain
+
+
+def test_local_form_criterion_of_an_overflowing_factor():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        report = local_form_criterion(LocalOperatorList((1e200 * np.eye(2),)))
+    assert report.dets == (complex(np.inf, 0.0),)  # not inf + NaN j
+    assert not report.passed
+
+
+def test_det_of_a_stack_is_the_det_of_each_matrix():
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+    dets = _det(m)
+    assert dets.shape == (1000,)
+    assert all(dets[i] == _det(m[i]) for i in range(len(m)))
+    # np.linalg.det is the same slogdet phase times exp(log |det|), with the C library's exp.  Where np.exp rounds
+    # that exp one ulp apart, each part moves by at most 2^-52 + 2 * 2^-53 = 2^-51 of itself (up to 3.1e-16 here)
+    assert np.all(np.abs(dets - np.linalg.det(m)) <= 2.0**-51 * np.abs(dets))
 
 
 def test_local_form_criterion():

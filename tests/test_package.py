@@ -3,7 +3,9 @@ import inspect
 import spinforms
 import spinforms.bases
 import spinforms.core
+import spinforms.entanglement
 import spinforms.flip
+import spinforms.groups
 
 
 def test_every_exported_name_resolves():
@@ -25,12 +27,19 @@ def test_removed_duplicates_stay_gone():
         (spinforms.bases, "_scaled"),
         (spinforms.bases, "_nonzero_gram_residuals"),  # the Grams of a sparse basis are summed over its pair blocks
         (spinforms.bases, "_gram_targets"),
+        # the flip defect is taken in flip._flip_defects alone, and every Gram target goes through a diagonal view
+        (spinforms.entanglement, "_TILE_BITS"),
+        (spinforms.entanglement, "_signed_blocks"),
+        (spinforms.entanglement, "i_power"),
+        (spinforms.bases, "_TILE_BITS"),
+        (spinforms.bases, "times_i_power"),
         (spinforms.core, "Tolerances"),  # each verdict reads core.NORM_TOL, GRAM_TOL or RESIDUAL_TOL
         (spinforms.core, "DEFAULT_TOL"),
         (spinforms, "Tolerances"),
         (spinforms, "DEFAULT_TOL"),
     ]:
         assert not hasattr(module, name), name
+    assert "np.linalg.det" not in inspect.getsource(spinforms.groups)  # every determinant comes from groups._det
     for name in spinforms.__all__:
         value = getattr(spinforms, name)
         if callable(value):
