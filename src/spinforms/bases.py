@@ -27,7 +27,7 @@ from .core import (
     _require_qubits,
     _value_eq,
 )
-from .flip import FormKind, _flip_defects, _form_gram, _signed_blocks, signed_reversal
+from .flip import FormKind, _flip_defects, _signed_blocks
 
 MAGIC_ORDERING = "complement-pair representatives ascending, plus vector before minus"
 PRODUCT_ORDERING = "complement pairs (k, ~k), member with +1 form pairing first"
@@ -105,22 +105,28 @@ def _minus_j(gram: np.ndarray, unit: complex) -> np.ndarray:
     return gram
 
 
+def _hilbert_defect(y: np.ndarray, unit) -> float:
+    """||y^H y - unit * I||_F on the last two axes, summed over any leading (stack) axes."""
+    return np.linalg.norm(_minus_identity(y.conj().swapaxes(-1, -2) @ y, unit))
+
+
+def _group_defect(y: np.ndarray, unit, kind: FormKind) -> float:
+    """||y^T T y - unit * T||_F with T = I (orthogonal) or canonical J (symplectic), as _hilbert_defect."""
+    if kind is FormKind.ORTHOGONAL:
+        return np.linalg.norm(_minus_identity(y.swapaxes(-1, -2) @ y, unit))
+    pairs = y[..., 0::2, :].swapaxes(-1, -2) @ y[..., 1::2, :]  # y^T J y = Y - Y^T with Y over the row pairs
+    return np.linalg.norm(_minus_j(np.subtract(pairs, pairs.swapaxes(-1, -2)), unit))
+
+
 def unitarity_defect(x: np.ndarray) -> float:
-    """||x^H x - I||_F: zero iff the square matrix x is unitary; inf, not NaN, where it overflows."""
-    return _quadratic_residual(lambda y, unit: np.linalg.norm(_minus_identity(y.conj().T @ y, unit)), x)
+    """||x^H x - I||_F, summed over a stack: zero iff x is unitary; inf, not NaN, where it overflows."""
+    return _quadratic_residual(_hilbert_defect, x)
 
 
 def form_defect(x: np.ndarray, kind: FormKind) -> float:
     """||x^T T x - T||_F with T = I (orthogonal) or canonical J (symplectic): zero iff x is in the group;
-    inf, not NaN, where it overflows (core._quadratic_residual)."""
-
-    def defect(y, unit):
-        if kind is FormKind.ORTHOGONAL:
-            return np.linalg.norm(_minus_identity(y.T @ y, unit))
-        pairs = y[0::2].T @ y[1::2]  # y^T J y = Y - Y^T with Y over the row pairs (2m, 2m+1)
-        return np.linalg.norm(_minus_j(np.subtract(pairs, pairs.T), unit))
-
-    return _quadratic_residual(defect, x)
+    inf, not NaN, where it overflows (core._quadratic_residual).  Summed over a stack, as unitarity_defect."""
+    return _quadratic_residual(lambda y, unit: _group_defect(y, unit, kind), x)
 
 
 def _product_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,27 +221,23 @@ def product_biortho_basis(n: int) -> BasisSet:
     return _canonical_basis(n, PRODUCT_ORDERING)
 
 
-def _canonical_basis(n: int, ordering: str) -> BasisSet:
-    """The dense canonical basis V = canonical_synthesize(n, I), written entry by entry into zeros.
+def _pair_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r and its pair m = min(r, ~r): slot [r, m] of a basis's (2^n, 2^(n-1), 2) view holds columns 2m
+    and 2m+1 of row r.  Canonical vectors 2m and 2m+1 live on rows m and ~m, so on these 2^(n+1) slots."""
+    rows = np.arange(1 << n)
+    return rows, np.minimum(rows, rows[::-1])
 
-    Only the nonzero entries are written: two per column for even n (rows k and ~k, with the magic phase
-    c_k taken from signed_reversal), one per column for odd n (from _product_layout).
+
+def _canonical_basis(n: int, ordering: str) -> BasisSet:
+    """The dense canonical basis V, with canonical_synthesize(n, P) scattered over its pair slots.
+
+    P is the pair identity, P[2m, 0] = P[2m+1, 1] = 1, so column j of V P sums the vectors 2m + j.  Those
+    vectors share no row, so row r of V P is row r of V on its slot, and every other entry of V is zero.
     """
     _require_qubits(n, MAX_OPERATOR_QUBITS)  # before the 2^n x 2^n allocation
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    if n % 2 == 1:
-        rows, phases = _product_layout(n)
-        mat[rows, np.arange(dim)] = phases[rows, 0]
-    else:
-        h = dim // 2
-        k = np.arange(h)
-        c = signed_reversal(np.ones(dim), h) * (i_power(n).real * _S2)  # c_k / sqrt(2), real for even n
-        # column 2k is (|k> + c_k |~k>) / sqrt(2), column 2k+1 is i (|k> - c_k |~k>) / sqrt(2)
-        mat.real[k, 2 * k] = _S2
-        mat.imag[k, 2 * k + 1] = _S2
-        mat.real[dim - 1 - k, 2 * k] = c
-        mat.imag[dim - 1 - k, 2 * k + 1] = -c
+    mat.reshape(dim, dim // 2, 2)[_pair_slots(n)] = canonical_synthesize(n, np.tile(np.eye(2), (dim // 2, 1)))
     basis = BasisSet(n, _freeze(mat), ordering)
     object.__setattr__(basis, "canonical", True)
     return basis
@@ -243,33 +245,25 @@ def _canonical_basis(n: int, ordering: str) -> BasisSet:
 
 def _gram_residuals(v: np.ndarray, n: int) -> tuple[float, float, str]:
     """(||V^H V - I||_F, ||form Gram - T||_F, route) for the 2^n x 2^n basis matrix V, with T = I (even n)
-    or canonical J (odd n) and form(v_a, v_b) = (-i)^n (R v_a) . v_b, R the signed reversal.
+    or canonical J (odd n): the defects of Q = C^H V, V's coefficients over the canonical basis C.  C is unitary
+    and bi-orthonormal, so ||V^H V - I|| = ||Q^H Q - I|| and ||form Gram - T|| = ||Q^T T Q - T||.
 
-    Route "pairs" when every nonzero entry of V lies in a complement-pair block B_m = V[(m, ~m), (2m, 2m+1)],
-    as in the canonical bases, their phase changes and their in-pair mixes.  R maps each row pair onto
-    itself, so both Grams are block diagonal and their residuals are summed over the 2^(n-1) blocks:
-    B_m^H B_m - I and (S_m B_m)^T B_m - i^n T_m, with S_m the rows swapped and signed as in R.  Route
-    "dense" otherwise: two dense products.  Both routes take their residuals through
+    Route "pairs" when every nonzero entry of V lies in its pair slots (_pair_slots), as in the canonical
+    bases, their row phase changes and their in-pair mixes: Q is block diagonal, and its 2 x 2 blocks are the
+    transform of the 2^n x 2 slot matrix.  Route "dense" otherwise.  The transform runs inside
     core._quadratic_residual, so an overflowing residual is inf, not NaN.
     """
-    dim = 1 << n
-    # form - T = (-i)^n (F - i^n T) with F = (R V)^T V, so F is judged against i^n T
-    minus_target, phase = _minus_j if n % 2 else _minus_identity, i_power(n)
-    k = np.arange(dim // 2)
-    rows = np.stack([k, dim - 1 - k], axis=1)[:, :, None]  # (m, ~m)
-    blocks = v[rows, 2 * k[:, None, None] + np.arange(2)]  # blocks[m] = B_m
-    if np.count_nonzero(v.view(np.float64)) == np.count_nonzero(blocks.view(np.float64)):
-        signs = signed_reversal(np.ones(dim))[rows]  # row m of R x is signs[m] x[~m]
+    kind, dim = FormKind.for_qubits(n), 1 << n
+    slots = v.reshape(dim, dim // 2, 2)[_pair_slots(n)]
+    pairs = np.count_nonzero(v.view(np.float64)) == np.count_nonzero(slots.view(np.float64))
 
-        def residuals(y, unit):
-            hilbert = _minus_identity(y.conj().swapaxes(1, 2) @ y, unit)
-            form = minus_target((signs * y[:, ::-1]).swapaxes(1, 2) @ y, unit * phase)
-            return np.linalg.norm(hilbert), np.linalg.norm(form)
+    def residuals(y, unit):
+        q = canonical_coefficients(n, y)
+        if pairs:
+            q = q.reshape(-1, 2, 2)
+        return _hilbert_defect(q, unit), _group_defect(q, unit, kind)
 
-        return (*_quadratic_residual(residuals, blocks), "pairs")
-    # form(v_a, v_b) = (-i)^n signed_reversal(v_a) . v_b: the reversal goes on the left factor
-    form_residual = _quadratic_residual(lambda y, unit: np.linalg.norm(minus_target(_form_gram(y), unit * phase)), v)
-    return unitarity_defect(v), form_residual, "dense"
+    return (*_quadratic_residual(residuals, slots if pairs else v), "pairs" if pairs else "dense")
 
 
 def check_biorthonormal(basis: BasisSet) -> BiorthoReport:
@@ -374,8 +368,9 @@ def random_unitary_symplectic(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     x = (g - g.conj().T) / 2.0
-    j = canonical_j(dim)
-    x = (x + j @ x.T @ j) / 2.0  # J^-1 = -J, so this is (x - J^-1 x^T J) / 2
+    # J x^T J, with J^-1 = -J: x^T with its 2 x 2 blocks reversed and signed, (2a+i, 2b+j) <- s_ij x^T[2a+1-i, 2b+1-j]
+    swap = x.T.reshape(dim // 2, 2, dim // 2, 2)[:, ::-1, :, ::-1] * np.array([[-1.0, 1.0], [1.0, -1.0]])[:, None, :]
+    x = (x + swap.reshape(dim, dim)) / 2.0  # (x - J^-1 x^T J) / 2
     h = -1j * x
     w, u = np.linalg.eigh(h)
     return (u * np.exp(1j * w)) @ u.conj().T

@@ -39,8 +39,8 @@ def _require_qubits(n: int, cap: int) -> None:
 def _frozen_complex(values, shape) -> np.ndarray:
     """A read-only C-contiguous complex128 array of ``shape``.
 
-    A frozen array (read-only, C-contiguous complex128 of this shape, owning its data) is
-    stored as given; anything else is copied, so no caller's writable array is ever shared.
+    A frozen array (read-only, C-contiguous complex128 of this shape, owning its data) is stored
+    as given; anything else is copied, so no caller's array is ever shared, and refused if not finite.
     """
     if (
         type(values) is np.ndarray
@@ -55,6 +55,8 @@ def _frozen_complex(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -98,9 +100,8 @@ class PureState:
         return 1 << self.n
 
     def norm(self) -> float:
-        """Hilbert norm, with no over- or underflow at any finite amplitudes (see _scaled)."""
-        scaled, exp = _scaled(self.amp)
-        return float(np.ldexp(np.linalg.norm(scaled), exp))
+        """Hilbert norm, with no over- or underflow at any finite amplitudes (see _norm)."""
+        return _norm(self.amp)
 
 
 def _scaled(amp: np.ndarray) -> tuple[np.ndarray, int]:
@@ -110,6 +111,12 @@ def _scaled(amp: np.ndarray) -> tuple[np.ndarray, int]:
     parts = np.abs(amp.view(np.float64))
     _, exp = np.frexp(parts.max())
     return np.ldexp(amp.view(np.float64), -exp, out=parts).view(amp.dtype), int(exp)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm taken at 2^-e (_scaled) and scaled back: no over- or underflow where it is in range."""
+    scaled, exp = _scaled(x)
+    return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 
 def _quadratic_residual(residual, x: np.ndarray) -> float | tuple[float, ...]:

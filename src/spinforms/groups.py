@@ -27,6 +27,7 @@ from .core import (
     GlobalOperator,
     LocalOperatorList,
     _kron,
+    _norm,
     _quadratic_residual,
     _scaled,
     expand_local,
@@ -213,7 +214,7 @@ def classify_operator(op: GlobalOperator | LocalOperatorList) -> OperatorClassRe
                 scaled = [_scaled(a) for a in factors]
                 gram = _kron(s.conj().T @ s for s, _ in scaled).view(np.float64)
                 np.ldexp(gram, 2 * sum(e for _, e in scaled), out=gram)  # scaled back: each entry saturates to inf or 0
-                unitary_residual = float(np.linalg.norm(_minus_identity(gram.view(np.complex128))))
+                unitary_residual = _norm(_minus_identity(gram.view(np.complex128)))  # finite where its entries are
                 del gram  # freed before the form test
     else:
         unitary_residual = unitarity_defect(op.mat)

@@ -247,7 +247,7 @@ def test_gram_threshold_at_its_boundary(n, residual, passed):
 
 
 def _dense_residuals(v, n):
-    """Both Gram residuals by the dense products, the reference for the pair route."""
+    """Both Gram residuals by the dense products with V itself, the reference for both routes."""
     target = canonical_j(1 << n) if n % 2 else np.eye(1 << n)
     return unitarity_defect(v), float(np.linalg.norm(times_i_power(_form_gram(v), -n) - target))
 
@@ -359,12 +359,80 @@ def test_a_row_with_three_nonzeros_takes_the_dense_route():
     for n in (2, 3, 6):
         v = _canonical(n).matrix().copy()
         v[0, np.flatnonzero(v[0] == 0)[: 3 - np.count_nonzero(v[0])]] = 1e-300  # however small, it counts
-        report = check_biorthonormal(BasisSet(n, v))
+        report = _assert_route_matches_dense(v, n)
         assert report.route == "dense" and report.passed
-        assert (report.hilbert_residual, report.form_residual) == _dense_residuals(v, n)
+        # the dense route is the group defect of the whole coefficient matrix Q = V^H v, exactly
+        q = canonical_coefficients(n, v)
+        assert (report.hilbert_residual, report.form_residual) == (
+            unitarity_defect(q),
+            form_defect(q, FormKind.for_qubits(n)),
+        )
     assert check_biorthonormal(basis_from_orthogonal(random_real_orthogonal(16, 3))).route == "dense"
     assert check_biorthonormal(BasisSet(1, np.ones((2, 2)))).route == "pairs"  # a 2 x 2 matrix is one block
     assert check_biorthonormal(BasisSet(2, np.ones((4, 4)))).route == "dense"
+
+
+def _slot_matrix(v):
+    """Row r of v on its pair slot: columns 2m and 2m+1 with m = min(r, ~r)."""
+    dim = v.shape[0]
+    m = np.minimum(np.arange(dim), np.arange(dim)[::-1])
+    return v[np.arange(dim)[:, None], 2 * m[:, None] + np.arange(2)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_route_is_the_group_defect_of_the_slot_coefficients(n):
+    # bit for bit: the residuals are unitarity_defect and form_defect of the 2 x 2 diagonal blocks of Q,
+    # which are the transform of the 2^n x 2 slot matrix
+    rng = np.random.default_rng(740 + n)
+    dim = 1 << n
+    v = _canonical(n).matrix()
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(dim, 1)))
+    rotation = np.zeros((dim, dim), dtype=np.complex128)
+    for k in range(dim // 2):
+        rotation[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = random_su2(int(rng.integers(1 << 30)))
+    for mat in (v, phases * v, v @ rotation):
+        report = check_biorthonormal(BasisSet(n, mat))
+        assert report.route == "pairs"
+        q = canonical_coefficients(n, _slot_matrix(mat)).reshape(-1, 2, 2)
+        assert (report.hilbert_residual, report.form_residual) == (
+            unitarity_defect(q),
+            form_defect(q, FormKind.for_qubits(n)),
+        )
+
+
+@pytest.mark.parametrize("kind", list(FormKind))
+@pytest.mark.parametrize("size", [2, 4])
+def test_defects_of_a_stack_sum_over_its_members(kind, size):
+    rng = np.random.default_rng(size)
+    stack = rng.normal(size=(7, size, size)) + 1j * rng.normal(size=(7, size, size))
+    stack[0] = random_unitary_symplectic(size, 1) if kind is FormKind.SYMPLECTIC else random_real_orthogonal(size, 1)
+    for defect in (unitarity_defect, lambda x: form_defect(x, kind)):
+        total = sum(defect(member) ** 2 for member in stack)
+        assert defect(stack) ** 2 == pytest.approx(total, rel=1e-14)
+
+
+def test_near_max_bases_read_inf_not_nan():
+    # entries at 1.5e308: the transform itself overflows, and both routes take it again at 2^-e
+    mix = basis_from_orthogonal(random_real_orthogonal(16, 1)).matrix()
+    for n, mat, route in [(2, _canonical(2).matrix(), "pairs"), (3, _canonical(3).matrix(), "pairs"), (4, mix, "dense")]:
+        big = mat / np.max(np.abs(mat.view(np.float64))) * 1.5e308
+        assert np.isfinite(big).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            report = check_biorthonormal(BasisSet(n, big))
+        assert (report.route, report.passed) == (route, False)
+        assert report.hilbert_residual == np.inf and report.form_residual == np.inf
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_bases_lie_in_their_pair_slots(n):
+    mat = _canonical(n).matrix()
+    dim = 1 << n
+    inside = np.zeros((dim, dim // 2, 2), dtype=bool)
+    inside[spinforms.bases._pair_slots(n)] = True
+    assert inside.sum() == 2 * dim  # 2^(n+1) distinct slots
+    assert not mat.reshape(dim, dim // 2, 2)[~inside].any()
+    assert np.array_equal(mat.reshape(dim, dim // 2, 2)[inside].reshape(dim, 2), _slot_matrix(mat))
 
 
 def test_computational_basis_is_not_biorthonormal():
@@ -565,6 +633,23 @@ def test_random_unitary_symplectic_membership():
     # dim 2: unitary + symplectic = SU(2)
     s = random_unitary_symplectic(2, 5)
     assert abs(np.linalg.det(s) - 1.0) <= 1e-12
+
+
+def _dense_j_draw(dim, seed):
+    """random_unitary_symplectic with J x^T J taken as two products with the dense canonical_j."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    x = (g - g.conj().T) / 2.0
+    j = canonical_j(dim)
+    x = (x + j @ x.T @ j) / 2.0
+    w, u = np.linalg.eigh(-1j * x)
+    return (u * np.exp(1j * w)) @ u.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 64])
+def test_random_unitary_symplectic_equals_the_dense_j_draw(dim):
+    for seed in range(5):
+        assert random_unitary_symplectic(dim, seed).tobytes() == _dense_j_draw(dim, seed).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from spinforms.bases import BasisSet
 from spinforms.core import (
     GlobalOperator,
     LocalOperatorList,
@@ -103,6 +104,27 @@ def test_frozen_amplitudes_are_stored_as_given_and_others_copied():
     real = np.ones(4)
     real.setflags(write=False)
     assert PureState(2, real).amp.dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+def test_copied_values_refuse_non_finite_entries(bad):
+    def with_bad(shape):
+        values = np.zeros(shape, dtype=np.complex128)
+        values.flat[-1] = bad
+        return values
+
+    for make in (
+        lambda: PureState(2, with_bad(4)),
+        lambda: make_state(1, [1.0, bad]),
+        lambda: GlobalOperator(1, with_bad((2, 2))),
+        lambda: LocalOperatorList((np.eye(2), with_bad((2, 2)))),
+        lambda: BasisSet(1, with_bad((2, 2))),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    frozen = with_bad(4)  # a frozen array is stored as given, unchecked
+    frozen.setflags(write=False)
+    assert PureState(2, frozen).amp is frozen
 
 
 def test_fresh_results_are_stored_without_a_copy(monkeypatch, tmp_path):

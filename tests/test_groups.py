@@ -117,6 +117,21 @@ def test_local_unitarity_is_never_nan(scales, residual, unitary):
     assert report.is_unitary is unitary
 
 
+@pytest.mark.parametrize(
+    "factors, residual",
+    [
+        ((2.0**500 * np.eye(2),), 1.5153420044823246e301),  # sqrt(2) (2^1000 - 1): finite, though its square is not
+        ((2.0**500 * np.eye(2), np.eye(2)), 2.1430172143725346e301),
+    ],
+)
+def test_local_unitarity_is_finite_where_its_entries_are(factors, residual):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        report = classify_operator(LocalOperatorList(factors))
+    assert report.unitary_residual == residual
+    assert report.unitary_residual == unitarity_defect(expand_local(LocalOperatorList(factors)).mat)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_finite_local_unitarity_is_the_plain_kronecker_formula(n):
     for draw in (random_sl2, random_su2):

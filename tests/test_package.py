@@ -27,6 +27,9 @@ def test_removed_duplicates_stay_gone():
         (spinforms.bases, "_scaled"),
         (spinforms.bases, "_nonzero_gram_residuals"),  # the Grams of a sparse basis are summed over its pair blocks
         (spinforms.bases, "_gram_targets"),
+        # a basis is judged by the group defect of its canonical coefficients, and the canonical basis is its transform
+        (spinforms.bases, "signed_reversal"),
+        (spinforms.bases, "_form_gram"),
         # the flip defect is taken in flip._flip_defects alone, and every Gram target goes through a diagonal view
         (spinforms.entanglement, "_TILE_BITS"),
         (spinforms.entanglement, "_signed_blocks"),
@@ -40,6 +43,7 @@ def test_removed_duplicates_stay_gone():
     ]:
         assert not hasattr(module, name), name
     assert "np.linalg.det" not in inspect.getsource(spinforms.groups)  # every determinant comes from groups._det
+    assert "canonical_j(" not in inspect.getsource(spinforms.bases.random_unitary_symplectic)  # J as a signed swap
     for name in spinforms.__all__:
         value = getattr(spinforms, name)
         if callable(value):
