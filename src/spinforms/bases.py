@@ -21,11 +21,11 @@ from .core import (
     MAX_OPERATOR_QUBITS,
     RESIDUAL_TOL,
     PureState,
+    _FrozenValue,
     _freeze,
     _frozen_complex,
     _quadratic_residual,
     _require_qubits,
-    _value_eq,
 )
 from .flip import FormKind, _flip_defects, _signed_blocks
 
@@ -35,7 +35,7 @@ _S2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
-class BasisSet:
+class BasisSet(_FrozenValue):
     """Ordered basis of n-qubit states held as one 2^n x 2^n matrix: column j is vector j.
 
     ``ordering`` documents the convention.  Being dense, a basis shares the
@@ -55,16 +55,8 @@ class BasisSet:
         dim = 1 << self.n
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
-    def __reduce__(self):  # copies rebuild frozen; only a canonical basis rebuilds canonical
-        if self.canonical:
-            return _canonical_basis, (self.n, self.ordering)
-        return BasisSet, (self.n, self.mat, self.ordering)
-
-    __eq__ = _value_eq  # canonical is left out (compare=False)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
+    def __reduce__(self):  # only a canonical basis rebuilds canonical
+        return (_canonical_basis, (self.n, self.ordering)) if self.canonical else super().__reduce__()
 
     def matrix(self) -> np.ndarray:
         """The stored read-only matrix; column j is the amplitude vector of basis vector j."""

@@ -62,25 +62,35 @@ def _frozen_complex(values, shape) -> np.ndarray:
 
 
 def _freeze(fresh: np.ndarray) -> np.ndarray:
-    """Mark a fresh array (owning its data, held by no caller) read-only and return it.
+    """Mark a fresh array (held by no caller) read-only and return it.
 
-    PureState, GlobalOperator and BasisSet then store it as given, with no copy.
+    PureState, GlobalOperator and BasisSet then store it as given, with no copy, when it owns its data.
     """
     fresh.setflags(write=False)
     return fresh
 
 
-def _value_eq(self, other) -> bool:
-    """Value equality for the array-holding types: the same type and every compared field (n, arrays,
-    tuples of arrays, ordering) equal by np.array_equal.  The generated dataclass __eq__ compares arrays
-    with == inside a tuple, which raises.  Defining __eq__ leaves __hash__ None: the types stay unhashable."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+class _FrozenValue:
+    """Base of PureState, GlobalOperator, LocalOperatorList and BasisSet.  Copies and pickles rebuild through the
+    constructor from the init fields, so they are frozen again.  Equality is by value: the same type and every
+    compared field equal by np.array_equal (the generated __eq__ would compare arrays with ==, which raises);
+    defining __eq__ leaves __hash__ None, so the values are unhashable."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_FrozenValue):
     """Pure state of ``n`` qubits as a flat vector of 2^n complex amplitudes."""
 
     n: int
@@ -89,15 +99,6 @@ class PureState:
     def __post_init__(self):
         _require_qubits(self.n, MAX_STATE_QUBITS)
         object.__setattr__(self, "amp", _frozen_complex(self.amp, (1 << self.n,)))
-
-    def __reduce__(self):
-        return PureState, (self.n, self.amp)
-
-    __eq__ = _value_eq
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
 
     def norm(self) -> float:
         """Hilbert norm, with no over- or underflow at any finite amplitudes (see _norm)."""
@@ -136,7 +137,7 @@ def _quadratic_residual(residual, x: np.ndarray) -> float | tuple[float, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class GlobalOperator:
+class GlobalOperator(_FrozenValue):
     """Dense 2^n x 2^n operator; rows/columns indexed like PureState amplitudes."""
 
     n: int
@@ -147,32 +148,16 @@ class GlobalOperator:
         dim = 1 << self.n
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
 
-    def __reduce__(self):
-        return GlobalOperator, (self.n, self.mat)
-
-    __eq__ = _value_eq
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
 
 @dataclass(frozen=True, eq=False)
-class LocalOperatorList:
-    """Ordered list of 2x2 operators A_1, ..., A_n, one per qubit (A_1 acts on the MSB)."""
+class LocalOperatorList(_FrozenValue):
+    """Ordered list of 2x2 operators A_1, ..., A_n, one per qubit (A_1 acts on the MSB), capped as states are."""
 
     ops: tuple
 
     def __post_init__(self):
-        if len(self.ops) == 0:
-            raise ValueError("local operator list must not be empty")
-        frozen = tuple(_frozen_complex(a, (2, 2)) for a in self.ops)
-        object.__setattr__(self, "ops", frozen)
-
-    def __reduce__(self):
-        return LocalOperatorList, (self.ops,)
-
-    __eq__ = _value_eq
+        _require_qubits(len(self.ops), MAX_STATE_QUBITS)
+        object.__setattr__(self, "ops", tuple(_frozen_complex(a, (2, 2)) for a in self.ops))
 
     @property
     def n(self) -> int:

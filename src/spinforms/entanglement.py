@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSet, _require_biorthonormal, canonical_coefficients, canonical_synthesize, state_coefficients
-from .core import MAX_STATE_QUBITS, NORM_TOL, RESIDUAL_TOL, PureState, _freeze, _require_qubits, normalize
+from .core import MAX_STATE_QUBITS, NORM_TOL, RESIDUAL_TOL, PureState, _FrozenValue, _freeze, _require_qubits, normalize
 from .flip import _flip_defects, _signed_terms, bilinear_form
 
 
@@ -93,13 +93,15 @@ def polygon_collinearity_residual(points: np.ndarray) -> float:
     return float(np.max(np.abs((np.conj(direction) * z).imag)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangleResult:
-    """Tangle with its coefficient-space view over a bi-orthonormal basis."""
+    """Tangle with its coefficient-space view over a bi-orthonormal basis; ``polygon`` is read-only."""
 
     value: float
     polygon: np.ndarray
     basis_used: str
+
+    __eq__ = _FrozenValue.__eq__  # by value, as the frozen values; unhashable
 
 
 def tangle_result(psi: PureState, basis: BasisSet | None = None) -> TangleResult:
@@ -112,7 +114,7 @@ def tangle_result(psi: PureState, basis: BasisSet | None = None) -> TangleResult
     else:
         c, label = state_coefficients(basis, psi), basis.ordering or "custom"  # checks the qubit counts
         _require_biorthonormal(basis)
-    return TangleResult(value=tangle(psi), polygon=polygon(c), basis_used=label)
+    return TangleResult(value=tangle(psi), polygon=_freeze(polygon(c)), basis_used=label)
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ def maxent_structure_check(psi: PureState) -> StructureReport:
     return _structure_report(psi.amp, float(np.angle(form) / 2.0) if form != 0 else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxEntReport:
     passed: bool
     criteria_agree: bool
@@ -192,7 +194,9 @@ class MaxEntReport:
     phase_residual: float
     structure_residual: float
     theta: float | None
-    nu: np.ndarray | None
+    nu: np.ndarray | None  # read-only
+
+    __eq__ = _FrozenValue.__eq__  # by value, as the frozen values; unhashable
 
 
 def is_maximally_entangled(psi: PureState) -> MaxEntReport:
@@ -228,7 +232,7 @@ def is_maximally_entangled(psi: PureState) -> MaxEntReport:
         phase_residual=phase_residual,
         structure_residual=structure.relation_residual,
         theta=theta if passed else None,
-        nu=nu if passed else None,
+        nu=_freeze(nu) if passed else None,
     )
 
 
@@ -242,12 +246,16 @@ def _require_maxent_qubits(n: int) -> None:
 def maxent_generate(n: int, theta: float, nu) -> PureState:
     """Maximally entangled state e^{i theta} sum_l nu_l e_l over the magic basis.
 
-    ``theta`` must be finite and ``nu`` real with unit square sum, within NORM_TOL.
+    ``theta`` must be finite and ``nu`` real (complex entries with zero imaginary parts are taken as their real
+    parts) with unit square sum, within NORM_TOL.
     """
     _require_maxent_qubits(n)
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    nu = np.asarray(nu, dtype=float)
+    nu = np.asarray(nu)
+    if np.iscomplexobj(nu) and nu.imag.any():  # the cast to float would drop it
+        raise ValueError("nu must be real, got a nonzero imaginary part")
+    nu = np.asarray(nu.real, dtype=float)
     if nu.shape != (1 << n,):
         raise ValueError(f"nu must have length {1 << n} for n={n}, got {nu.shape}")
     with np.errstate(over="ignore"):  # an overflowing sum is inf, which the test rejects

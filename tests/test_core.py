@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -21,6 +22,7 @@ from spinforms.core import (
     random_su2,
     tensor_states,
 )
+from spinforms.files import OPERATOR_FORMAT, FileFormatError, read_operator
 from spinforms.flip import flip_local
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -61,6 +63,7 @@ def test_copies_and_pickles_stay_frozen(how):
     ):
         copied = COPIES[how](value)
         assert type(copied) is type(value)
+        assert copied.dim == value.dim == 1 << value.n
         for got, want in zip(arrays(copied), arrays(value), strict=True):
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
@@ -80,6 +83,7 @@ def test_values_compare_by_value():
     ):
         assert value == same and not value != same
         assert value == copy.deepcopy(value)
+        assert value.dim == same.dim == 4
         for other in others:
             assert value != other and not value == other
         with pytest.raises(TypeError):
@@ -275,6 +279,26 @@ def test_apply_basics():
     np.testing.assert_allclose(apply(yy, basis_state(2, 0)).amp, [0, 0, 0, -1])
     with pytest.raises(ValueError):
         apply(GlobalOperator(1, np.eye(2)), basis_state(2, 0))
+
+
+@pytest.mark.parametrize("count", [0, 25])
+def test_local_lists_share_the_state_cap(count):
+    with pytest.raises(ValueError, match=rf"qubit count must be in \[1, 24\], got {count}"):
+        LocalOperatorList((np.eye(2),) * count)
+
+
+def test_a_local_list_at_the_state_cap_builds():
+    local = LocalOperatorList((np.eye(2),) * 24)
+    assert local.n == 24 and local.dim == 1 << 24
+
+
+def test_a_local_operator_file_over_the_cap_is_a_file_format_error(tmp_path):
+    # the reader checks the declared n itself, before the list's own cap
+    path = tmp_path / "op.json"
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # [re, im] per entry
+    path.write_text(json.dumps({"format": OPERATOR_FORMAT, "kind": "local", "n": 25, "factors": [identity] * 25}))
+    with pytest.raises(FileFormatError, match=r"'n' must be an integer in \[1, 24\]"):
+        read_operator(path)
 
 
 def test_dense_operator_cap():

@@ -360,6 +360,22 @@ def test_maxent_generate_rejects_bad_nu():
         maxent_generate(2, 0.0, [1.0, 0])
 
 
+@pytest.mark.parametrize("nu", [np.array([0.6 + 0.8j, 0.8, 0, 0]), [0.6 + 0.8j, 0.8, 0, 0]], ids=["array", "list"])
+def test_maxent_generate_refuses_a_non_real_nu(nu):
+    # the real parts alone have unit square sum, so a cast to float would pass them
+    with pytest.raises(ValueError, match="nu must be real"):
+        maxent_generate(2, 0.0, nu)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_a_complex_nu_with_zero_imaginary_parts_gives_the_real_nu_state(n):
+    nu = np.random.default_rng(n).normal(size=1 << n)
+    nu /= np.linalg.norm(nu)
+    want = maxent_generate(n, 0.3, nu).amp
+    assert maxent_generate(n, 0.3, nu.astype(np.complex128)).amp.tobytes() == want.tobytes()
+    assert maxent_generate(n, 0.3, list(nu + 0j)).amp.tobytes() == want.tobytes()
+
+
 def test_maxent_generate_square_sum_at_the_norm_threshold():
     # the first magic vector with nu_0^2 = 1 + off: NORM_TOL is 1e-12
     with pytest.raises(ValueError, match="unit square sum"):
@@ -372,6 +388,29 @@ def test_maxent_generate_rejects_overflowing_nu():
     # the square sum overflows to inf, which is rejected without a RuntimeWarning
     with pytest.raises(ValueError, match="unit square sum, got inf"):
         maxent_generate(2, 0.0, [1e200, 0, 0, 0])
+
+
+def test_reports_compare_by_value():
+    psi, other = random_state(4, 7), random_state(4, 8)
+    maximal, other_maximal = (maxent_generate(4, theta, np.full(16, 0.25)) for theta in (0.3, 0.5))
+    assert tangle_result(psi) == tangle_result(psi) and not tangle_result(psi) != tangle_result(psi)
+    assert tangle_result(psi) != tangle_result(other)
+    for state in (maximal, psi):  # a passing report holds nu, a failing one None
+        assert is_maximally_entangled(state) == is_maximally_entangled(state)
+    assert is_maximally_entangled(maximal) != is_maximally_entangled(other_maximal)
+    assert is_maximally_entangled(maximal) != is_maximally_entangled(psi)
+    for report in (tangle_result(psi), is_maximally_entangled(maximal), is_maximally_entangled(psi)):
+        with pytest.raises(TypeError):
+            hash(report)
+
+
+def test_report_arrays_are_read_only():
+    result = tangle_result(random_state(4, 7))
+    report = is_maximally_entangled(maxent_generate(4, 0.3, np.full(16, 0.25)))
+    with pytest.raises(ValueError, match="read-only"):
+        result.polygon[0, 0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        report.nu[0] = 99.0
 
 
 def test_three_conditions_agree():

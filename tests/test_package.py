@@ -36,12 +36,18 @@ def test_removed_duplicates_stay_gone():
         (spinforms.entanglement, "i_power"),
         (spinforms.bases, "_TILE_BITS"),
         (spinforms.bases, "times_i_power"),
+        (spinforms.core, "_value_eq"),  # the frozen values share core._FrozenValue's copy, equality and dim
         (spinforms.core, "Tolerances"),  # each verdict reads core.NORM_TOL, GRAM_TOL or RESIDUAL_TOL
         (spinforms.core, "DEFAULT_TOL"),
         (spinforms, "Tolerances"),
         (spinforms, "DEFAULT_TOL"),
     ]:
         assert not hasattr(module, name), name
+    for value_type in (spinforms.PureState, spinforms.GlobalOperator, spinforms.LocalOperatorList, spinforms.BasisSet):
+        assert issubclass(value_type, spinforms.core._FrozenValue), value_type
+        own = vars(value_type)
+        assert "__eq__" not in own and "dim" not in own, value_type
+        assert ("__reduce__" in own) == (value_type is spinforms.BasisSet), value_type  # its canonical branch
     assert "np.linalg.det" not in inspect.getsource(spinforms.groups)  # every determinant comes from groups._det
     assert "canonical_j(" not in inspect.getsource(spinforms.bases.random_unitary_symplectic)  # J as a signed swap
     for name in spinforms.__all__:
