@@ -52,11 +52,12 @@ class BasisSet(_FrozenValue):
 
     def __post_init__(self):
         _require_qubits(self.n, MAX_OPERATOR_QUBITS)
-        dim = 1 << self.n
-        object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
+        object.__setattr__(self, "mat", _frozen_complex(self.mat, (self.dim, self.dim)))
 
     def __reduce__(self):  # only a canonical basis rebuilds canonical
-        return (_canonical_basis, (self.n, self.ordering)) if self.canonical else super().__reduce__()
+        if self.canonical:
+            return _canonical_basis, (self.n, self.ordering)
+        return super().__reduce__()
 
     def matrix(self) -> np.ndarray:
         """The stored read-only matrix; column j is the amplitude vector of basis vector j."""

@@ -57,8 +57,7 @@ def _frozen_complex(values, shape) -> np.ndarray:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
-    arr.setflags(write=False)
-    return arr
+    return _freeze(arr)
 
 
 def _freeze(fresh: np.ndarray) -> np.ndarray:
@@ -98,7 +97,7 @@ class PureState(_FrozenValue):
 
     def __post_init__(self):
         _require_qubits(self.n, MAX_STATE_QUBITS)
-        object.__setattr__(self, "amp", _frozen_complex(self.amp, (1 << self.n,)))
+        object.__setattr__(self, "amp", _frozen_complex(self.amp, (self.dim,)))
 
     def norm(self) -> float:
         """Hilbert norm, with no over- or underflow at any finite amplitudes (see _norm)."""
@@ -145,8 +144,7 @@ class GlobalOperator(_FrozenValue):
 
     def __post_init__(self):
         _require_qubits(self.n, MAX_OPERATOR_QUBITS)
-        dim = 1 << self.n
-        object.__setattr__(self, "mat", _frozen_complex(self.mat, (dim, dim)))
+        object.__setattr__(self, "mat", _frozen_complex(self.mat, (self.dim, self.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +155,8 @@ class LocalOperatorList(_FrozenValue):
 
     def __post_init__(self):
         _require_qubits(len(self.ops), MAX_STATE_QUBITS)
-        object.__setattr__(self, "ops", tuple(_frozen_complex(a, (2, 2)) for a in self.ops))
+        frozen = tuple(_frozen_complex(a, (2, 2)) for a in self.ops)
+        object.__setattr__(self, "ops", frozen)
 
     @property
     def n(self) -> int:

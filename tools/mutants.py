@@ -2,16 +2,18 @@
 
 Each mutant names a file under src/spinforms, an exact source fragment that occurs there once, its replacement,
 and the test modules that must catch it.  For each mutant the script copies src/ to a temporary directory,
-applies the mutant, and runs the named modules against the copy with pytest -x -q; the run must fail.  The
-unmutated copy runs every named module first, and must pass, so a copy that cannot import is no catch.
+applies the mutant, and runs the named modules against the copy with pytest -x -q; tests must run and fail
+(pytest exit 1).  Any other exit (a collection or import error, an internal error, no tests collected) is a
+gate error, not a catch, so a mutant that stops the package from importing is not counted as caught.  The
+unmutated copy runs every named module first, and must pass.
 
 The script exits 1 if a fragment is missing (a refactor moved the code: update the mutant), if the unmutated
-copy fails, or if a mutant survives.  Removing a mutant is recorded in CHANGES.md, as a removed test is.
+copy fails, if a mutant survives, or on a gate error.  Removing a mutant is recorded in CHANGES.md, as a
+removed test is.
 
 Run from anywhere, with the test dependencies installed:
 
-    python tools/mutants.py              # every mutant
-    python tools/mutants.py j-sign pair-slots   # the named ones
+    python tools/mutants.py
 """
 
 from __future__ import annotations
@@ -181,12 +183,7 @@ def _apply(src: Path, mutant: Mutant) -> str | None:
     return None
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory(prefix="spinforms-mutants-") as tmp:
         tmp = Path(tmp)
@@ -194,12 +191,12 @@ def main(names: list[str]) -> int:
         if not _imports_from(clean, tmp):
             print("the copy of src/ is not what the tests import (is another spinforms installed first?)")
             return 1
-        modules = sorted({m for mutant in chosen for m in mutant.modules})
+        modules = sorted({m for mutant in MUTANTS for m in mutant.modules})
         baseline = _pytest(clean, modules, tmp)
         if baseline.returncode != 0:
             print(f"the unmutated copy fails {' '.join(modules)}:\n{baseline.stdout[-3000:]}")
             return 1
-        for i, mutant in enumerate(chosen):
+        for i, mutant in enumerate(MUTANTS):
             src = _copy_source(tmp / f"m{i}")
             start = time.perf_counter()
             problem, caught_by = _apply(src, mutant), ""
@@ -207,6 +204,8 @@ def main(names: list[str]) -> int:
                 run = _pytest(src, mutant.modules, tmp)
                 if run.returncode == 0:
                     problem = f"survived {' '.join(mutant.modules)}"
+                elif run.returncode != 1:
+                    problem = f"pytest exit {run.returncode}:\n{(run.stdout + run.stderr)[-3000:]}"
                 # the first line of pytest's short summary names the test that caught it
                 caught_by = next((line for line in run.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))), "")
             verdict = f"caught  {caught_by[:100]}" if problem is None else f"FAILED: {problem}"
@@ -214,9 +213,9 @@ def main(names: list[str]) -> int:
             if problem is not None:
                 failures.append(mutant.name)
             shutil.rmtree(src.parent)
-    print(f"{len(chosen) - len(failures)} of {len(chosen)} mutants caught")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants caught")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
